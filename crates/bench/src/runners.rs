@@ -2029,17 +2029,15 @@ pub fn overload_cell(
     cfg.wall_limit = scale.wall;
     // Sources offer `per_flow_kbps` each regardless of what the shaper
     // grants them — the decoupling that makes the overload real.
-    cfg.offered_gap = Some(1_500 * 8 * 1_000_000_000 / (scale.per_flow_kbps * 1_000).max(1));
+    let offered_gap = HostConfig::mtu_gap(scale.per_flow_kbps * 1_000);
+    cfg.offered_gap = Some(offered_gap);
     cfg.chaos.admit = AdmitPolicy::EcnMark {
         cap: scale.admit_cap,
         mark_at: scale.mark_at,
     };
     if baseline {
         // Enough uniform packets per flow to pace through the whole wall.
-        let per_flow_bps = scale.per_flow_kbps * 1_000;
-        let wall_pkts =
-            scale.wall.as_nanos() as u128 * u128::from(per_flow_bps) / (1_500 * 8 * 1_000_000_000);
-        cfg.pkts_per_flow = Some(wall_pkts as u64 + 2);
+        cfg.pkts_per_flow = Some(scale.wall.as_nanos() / offered_gap + 2);
         cfg.closed_loop = Some(ClosedLoopParams {
             initial_scale: SCALE_ONE,
             ..ClosedLoopParams::default()

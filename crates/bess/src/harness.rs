@@ -211,11 +211,17 @@ impl EdgeWindow {
     }
 }
 
-/// Busy-polls `sched` for `duration` (real time), topping the backlog up to
-/// `occupancy` packets from `gen` and draining in batches of [`BATCH`].
+/// The one busy-poll loop behind [`measure_rate`], [`measure_rate_batched`]
+/// and [`measure_rate_sharded`]: top the backlog up to `occupancy` packets
+/// from `gen` (stamped by the annotator hook `stamp`), then for `duration`
+/// of real time visit the shards round-robin — `drain` one batch from the
+/// shard whose turn it is into the buffer it is handed, replace what left
+/// (routed by the flow hash) — and rate what was released.
 ///
-/// `stamp` is the annotator hook: it ranks packets before they enter the
-/// scheduler (pFabric stamps remaining sizes here).
+/// Exactly one shard visit per clock read, whatever the shard count:
+/// otherwise the harness overhead per packet would shrink with N and
+/// inflate sharded readings. The schedulers are clocked with real elapsed
+/// nanoseconds, so rate limits bind in real time.
 ///
 /// The first [`WARMUP_FRACTION`] of `duration` runs the same loop untimed:
 /// the pre-filled backlog is stamped at `now = 0`, so every flow's limit
@@ -227,32 +233,41 @@ impl EdgeWindow {
 /// periods (`EdgeWindow`) — this removes the partial-period aliasing
 /// that used to read up to ~8% over the configured limit at 120k
 /// occupancy (pinned by `tests/measure_rate_regression.rs`).
-pub fn measure_rate<S: BessScheduler>(
-    sched: &mut S,
+fn busy_poll<S: BessScheduler>(
+    shards: &mut [S],
     gen: &mut RoundRobinGen,
     stamp: &mut impl FnMut(&mut Packet),
     occupancy: usize,
     duration: Duration,
-) -> RateReport {
+    mut drain: impl FnMut(&mut S, Nanos, &mut Vec<Packet>),
+) -> ShardedRateReport {
+    assert!(!shards.is_empty(), "at least one shard");
+    let n_shards = shards.len();
+    let home = |p: &Packet| match n_shards {
+        1 => 0, // spare the single-scheduler loops the hash
+        n => eiffel_sim::shard_of(p.flow, n),
+    };
     // Pre-fill to the working occupancy so the measured loop runs at the
     // intended backlog — the paper's schedulers hold thousands of queued
     // packets, and the baselines' costs scale with that backlog.
-    {
-        let now0 = 0;
-        while sched.len() < occupancy {
-            let mut p = gen.next(now0);
-            stamp(&mut p);
-            sched.enqueue(now0, p);
-        }
+    let held: usize = shards.iter().map(|s| s.len()).sum();
+    for _ in held..occupancy {
+        let mut p = gen.next(0);
+        stamp(&mut p);
+        shards[home(&p)].enqueue(0, p);
     }
     let warmup = duration.mul_f64(WARMUP_FRACTION);
     let total = duration + warmup;
     let start = Instant::now();
+    let mut shard_pkts = vec![0u64; n_shards];
     let mut sent_pkts = 0u64;
     let mut sent_bytes = 0u64;
     let mut measured_from = Duration::ZERO;
     let mut warming = true;
     let mut edges = EdgeWindow::new();
+    let mut outbuf: Vec<Packet> = Vec::new();
+    let mut inbufs: Vec<Vec<Packet>> = vec![Vec::new(); n_shards];
+    let mut turn = 0;
     loop {
         let elapsed = start.elapsed();
         if elapsed >= total {
@@ -262,46 +277,78 @@ pub fn measure_rate<S: BessScheduler>(
             // Steady state reached: discard the warmup burst and start
             // the measured window here.
             warming = false;
+            shard_pkts.fill(0);
             sent_pkts = 0;
             sent_bytes = 0;
             measured_from = elapsed;
             edges.reset();
         }
         let now = elapsed.as_nanos() as Nanos;
-        let (pre_pkts, pre_bytes) = (sent_pkts, sent_bytes);
-        // Consumer side: one batch.
-        let mut drained = 0;
-        for _ in 0..BATCH {
-            match sched.dequeue(now) {
-                Some(p) => {
-                    sent_pkts += 1;
-                    sent_bytes += p.bytes as u64;
-                    drained += 1;
-                }
-                None => break,
-            }
-        }
-        edges.observe(elapsed, pre_pkts, pre_bytes, drained);
+        // Consumer side: one batch from the shard whose turn it is.
+        outbuf.clear();
+        drain(&mut shards[turn], now, &mut outbuf);
+        edges.observe(elapsed, sent_pkts, sent_bytes, outbuf.len());
+        shard_pkts[turn] += outbuf.len() as u64;
+        sent_pkts += outbuf.len() as u64;
+        turn = if turn + 1 == n_shards { 0 } else { turn + 1 };
         // Producer side: replace what left, keeping occupancy constant
-        // (enqueue cost stays inside the measured loop, as in BESS).
-        for _ in 0..drained {
+        // (enqueue cost stays inside the measured loop, as in BESS). The
+        // refill may land on any shard; totals stay at `occupancy`.
+        for sent in &outbuf {
+            sent_bytes += sent.bytes as u64;
             let mut p = gen.next(now);
             stamp(&mut p);
-            sched.enqueue(now, p);
+            inbufs[home(&p)].push(p);
+        }
+        for (shard, inbuf) in shards.iter_mut().zip(&mut inbufs) {
+            if !inbuf.is_empty() {
+                shard.enqueue_batch(now, inbuf);
+            }
         }
     }
     let window = start.elapsed() - measured_from;
     let (secs, pkts, bytes) = edges.span(window, sent_pkts, sent_bytes);
-    RateReport {
-        pps: pkts as f64 / secs,
-        mbps: bytes as f64 * 8.0 / secs / 1e6,
-        packets: sent_pkts,
+    let pps = pkts as f64 / secs;
+    ShardedRateReport {
+        total: RateReport {
+            pps,
+            mbps: bytes as f64 * 8.0 / secs / 1e6,
+            packets: sent_pkts,
+        },
+        // Each shard's share of the window, at the edge-rated aggregate.
+        per_shard_pps: shard_pkts
+            .iter()
+            .map(|&c| pps * c as f64 / sent_pkts.max(1) as f64)
+            .collect(),
     }
 }
 
-/// [`measure_rate`] with the batched trait entry points: the consumer side
-/// drains up to `batch` packets per [`BessScheduler::dequeue_batch`] call
-/// and the producer refills through [`BessScheduler::enqueue_batch`] —
+/// Busy-polls `sched` for `duration` (real time), topping the backlog up to
+/// `occupancy` packets from `gen` and draining packet-at-a-time in batches
+/// of [`BATCH`]. `stamp` is the annotator hook: it ranks packets before
+/// they enter the scheduler (pFabric stamps remaining sizes here). Warmup
+/// and burst-edge accounting as described at `busy_poll`.
+pub fn measure_rate<S: BessScheduler>(
+    sched: &mut S,
+    gen: &mut RoundRobinGen,
+    stamp: &mut impl FnMut(&mut Packet),
+    occupancy: usize,
+    duration: Duration,
+) -> RateReport {
+    let shard = std::slice::from_mut(sched);
+    busy_poll(shard, gen, stamp, occupancy, duration, |s, now, out| {
+        while out.len() < BATCH {
+            match s.dequeue(now) {
+                Some(p) => out.push(p),
+                None => break,
+            }
+        }
+    })
+    .total
+}
+
+/// [`measure_rate`] with the batched trait entry point: the consumer side
+/// drains up to `batch` packets per [`BessScheduler::dequeue_batch`] call —
 /// the per-flow-batching machinery of Figure 13 applied to the scheduler's
 /// own dequeue path. `batch = 1` degenerates to packet-at-a-time polling.
 pub fn measure_rate_batched<S: BessScheduler>(
@@ -312,60 +359,8 @@ pub fn measure_rate_batched<S: BessScheduler>(
     duration: Duration,
     batch: usize,
 ) -> RateReport {
-    let batch = batch.max(1);
-    {
-        let now0 = 0;
-        while sched.len() < occupancy {
-            let mut p = gen.next(now0);
-            stamp(&mut p);
-            sched.enqueue(now0, p);
-        }
-    }
-    let warmup = duration.mul_f64(WARMUP_FRACTION);
-    let total = duration + warmup;
-    let start = Instant::now();
-    let mut sent_pkts = 0u64;
-    let mut sent_bytes = 0u64;
-    let mut measured_from = Duration::ZERO;
-    let mut warming = true;
-    let mut edges = EdgeWindow::new();
-    let mut outbuf: Vec<Packet> = Vec::with_capacity(batch);
-    let mut inbuf: Vec<Packet> = Vec::with_capacity(batch);
-    loop {
-        let elapsed = start.elapsed();
-        if elapsed >= total {
-            break;
-        }
-        if warming && elapsed >= warmup {
-            warming = false;
-            sent_pkts = 0;
-            sent_bytes = 0;
-            measured_from = elapsed;
-            edges.reset();
-        }
-        let now = elapsed.as_nanos() as Nanos;
-        let (pre_pkts, pre_bytes) = (sent_pkts, sent_bytes);
-        outbuf.clear();
-        let drained = sched.dequeue_batch(now, batch, &mut outbuf);
-        for p in &outbuf {
-            sent_pkts += 1;
-            sent_bytes += p.bytes as u64;
-        }
-        edges.observe(elapsed, pre_pkts, pre_bytes, drained);
-        for _ in 0..drained {
-            let mut p = gen.next(now);
-            stamp(&mut p);
-            inbuf.push(p);
-        }
-        sched.enqueue_batch(now, &mut inbuf);
-    }
-    let window = start.elapsed() - measured_from;
-    let (secs, pkts, bytes) = edges.span(window, sent_pkts, sent_bytes);
-    RateReport {
-        pps: pkts as f64 / secs,
-        mbps: bytes as f64 * 8.0 / secs / 1e6,
-        packets: sent_pkts,
-    }
+    let shard = std::slice::from_mut(sched);
+    measure_rate_sharded(shard, gen, stamp, occupancy, duration, batch).total
 }
 
 /// Outcome of a sharded busy-poll run.
@@ -378,7 +373,8 @@ pub struct ShardedRateReport {
 }
 
 /// Busy-polls `shards.len()` scheduler instances round-robin on one
-/// physical core, flows pinned to shards by [`eiffel_sim::shard_of`].
+/// physical core, flows pinned to shards by [`eiffel_sim::shard_of`],
+/// draining `batch` packets per visit.
 ///
 /// This is the scale-out shape of the §5.1.2/§5.1.3 deployments: each
 /// simulated core owns one scheduler over `flows / N` of the flow set, so
@@ -395,76 +391,10 @@ pub fn measure_rate_sharded<S: BessScheduler>(
     duration: Duration,
     batch: usize,
 ) -> ShardedRateReport {
-    assert!(!shards.is_empty(), "at least one shard");
-    let n_shards = shards.len();
     let batch = batch.max(1);
-    {
-        let now0 = 0;
-        let mut held = 0;
-        while held < occupancy {
-            let mut p = gen.next(now0);
-            stamp(&mut p);
-            shards[eiffel_sim::shard_of(p.flow, n_shards)].enqueue(now0, p);
-            held += 1;
-        }
-    }
-    let warmup = duration.mul_f64(WARMUP_FRACTION);
-    let total = duration + warmup;
-    let start = Instant::now();
-    let mut sent_pkts = vec![0u64; n_shards];
-    let mut sent_bytes = 0u64;
-    let mut measured_from = Duration::ZERO;
-    let mut warming = true;
-    let mut outbuf: Vec<Packet> = Vec::with_capacity(batch);
-    let mut inbufs: Vec<Vec<Packet>> = vec![Vec::with_capacity(batch); n_shards];
-    let mut cursor = 0usize;
-    loop {
-        let elapsed = start.elapsed();
-        if elapsed >= total {
-            break;
-        }
-        if warming && elapsed >= warmup {
-            warming = false;
-            sent_pkts.iter_mut().for_each(|c| *c = 0);
-            sent_bytes = 0;
-            measured_from = elapsed;
-        }
-        let now = elapsed.as_nanos() as Nanos;
-        // Consumer side: one batch from the shard whose turn it is (the
-        // round-robin core schedule). Exactly one shard visit per clock
-        // read, whatever the shard count — otherwise the harness overhead
-        // per packet would shrink with N and inflate sharded readings.
-        let s = cursor;
-        cursor = (cursor + 1) % n_shards;
-        outbuf.clear();
-        let drained = shards[s].dequeue_batch(now, batch, &mut outbuf);
-        sent_pkts[s] += drained as u64;
-        for p in &outbuf {
-            sent_bytes += p.bytes as u64;
-        }
-        // Producer side: replace what left, routed by the flow hash (the
-        // refill may land on any shard; totals stay at `occupancy`).
-        for _ in 0..drained {
-            let mut p = gen.next(now);
-            stamp(&mut p);
-            inbufs[eiffel_sim::shard_of(p.flow, n_shards)].push(p);
-        }
-        for (s, shard) in shards.iter_mut().enumerate() {
-            if !inbufs[s].is_empty() {
-                shard.enqueue_batch(now, &mut inbufs[s]);
-            }
-        }
-    }
-    let secs = (start.elapsed() - measured_from).as_secs_f64();
-    let packets: u64 = sent_pkts.iter().sum();
-    ShardedRateReport {
-        total: RateReport {
-            pps: packets as f64 / secs,
-            mbps: sent_bytes as f64 * 8.0 / secs / 1e6,
-            packets,
-        },
-        per_shard_pps: sent_pkts.iter().map(|&c| c as f64 / secs).collect(),
-    }
+    busy_poll(shards, gen, stamp, occupancy, duration, |s, now, out| {
+        s.dequeue_batch(now, batch, out);
+    })
 }
 
 /// Outcome of a threaded busy-poll run.

@@ -14,7 +14,8 @@
 use std::time::Duration;
 
 use eiffel_bess::{
-    measure_rate, measure_rate_batched, FlowSpec, HClockEiffel, RoundRobinGen, WARMUP_FRACTION,
+    measure_rate, measure_rate_batched, measure_rate_sharded, FlowSpec, HClockEiffel,
+    RoundRobinGen, WARMUP_FRACTION,
 };
 use eiffel_sim::Rate;
 
@@ -91,4 +92,32 @@ fn batched_overlimit_residual_at_120k_occupancy_stays_bounded() {
         r.mbps,
         limit
     );
+}
+
+/// The sharded entry point with one shard is the same loop again: before
+/// the three entry points shared it, this one had no burst-edge accounting
+/// and a rate-limited scheduler measured through it still aliased.
+#[test]
+fn one_shard_overlimit_residual_at_120k_occupancy_stays_bounded() {
+    const AGG_MBPS: u64 = 5_000;
+    let specs = flat_specs(30_000, AGG_MBPS);
+    let mut gen = RoundRobinGen::new(30_000, 1_500);
+    let mut shards = [HClockEiffel::new(&specs)];
+    let r = measure_rate_sharded(
+        &mut shards,
+        &mut gen,
+        &mut |_| {},
+        120_000,
+        Duration::from_millis(400),
+        16,
+    );
+    let limit = AGG_MBPS as f64;
+    assert!(r.total.mbps > 0.80 * limit, "got {:.0} Mbps", r.total.mbps);
+    assert!(
+        r.total.mbps < 1.04 * limit,
+        "1-shard over-limit residual returned: {:.0} vs {:.0} Mbps",
+        r.total.mbps,
+        limit
+    );
+    assert_eq!(r.per_shard_pps, [r.total.pps], "one shard is the total");
 }

@@ -12,14 +12,17 @@
 //!
 //! [`host::run`] drives any of them with the 20k-flow neper-like workload
 //! and meters real data-structure CPU into virtual-time bins — the
-//! regeneration path for Figures 9 and 10. [`sharded::run_sharded`] scales
-//! the same workload across N simulated cores (one qdisc instance each,
-//! stable flow→shard hashing, batched softirq drains) and merges the
-//! per-core meters into one [`sharded::ShardedReport`].
-//! [`threaded::run_threaded`] runs those same shards as real OS threads —
-//! one qdisc + softirq timer per thread, fed over lock-free SPSC rings on
-//! the wall clock, sharing the virtual-clock host's stage code — the
-//! measurement path for Figure 9's cores-to-shape comparison.
+//! regeneration path for Figures 9 and 10.
+//!
+//! Behind it is one pipeline under two clocks: a shared flow-source model
+//! (`source.rs`: TSQ budgets, memory charges, closed-loop pacing), one
+//! per-core stage body, one [`RunConfig`], and a driver per clock.
+//! [`sharded::run_sharded`] runs N simulated cores under one virtual clock
+//! (stable flow→shard hashing, batched softirq drains, merged
+//! [`sharded::ShardedReport`]); [`threaded::run_threaded`] runs the same
+//! shards as real OS threads fed over lock-free SPSC rings on the wall
+//! clock — the measurement path for Figure 9's cores-to-shape comparison.
+//! DESIGN.md §4 has the table of what each driver owns.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,12 +34,13 @@ pub mod host;
 pub mod qdisc;
 pub mod ranked;
 pub mod sharded;
+mod source;
 pub mod threaded;
 
 pub use carousel::CarouselQdisc;
 pub use eiffel::EiffelQdisc;
 pub use fq::FqQdisc;
-pub use host::{run, HostConfig, HostReport};
+pub use host::{run, HostConfig, HostReport, RunConfig};
 pub use qdisc::{ShaperQdisc, TimerStyle};
 pub use ranked::{backend_label, RankedShaperQdisc};
 pub use sharded::{

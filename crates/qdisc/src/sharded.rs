@@ -4,24 +4,25 @@
 //! Modern hosts do not funnel every socket through one qdisc instance: the
 //! stack hashes flows to per-core queues (RSS/XPS style) and each core runs
 //! its own scheduler — Carousel's deployment model ("a single queue per
-//! core") and the scale-out shape Eiffel's §5 end-host numbers assume. This
-//! module owns the one event loop behind both host models —
-//! [`crate::host::run`] is its 1-shard case — and generalizes it to N:
+//! core") and the scale-out shape Eiffel's §5 end-host numbers assume.
+//!
+//! This module is the **virtual-clock driver** of the one pipeline
+//! (DESIGN.md, "One source model + one stage body, two drivers"): sources
+//! are the `FlowSource` model (`source.rs`), each core is a `Shard` stage body,
+//! and what lives here is only what the virtual clock needs — the event
+//! heap, the pending rings stalled cores park arrivals in, and the
+//! conservation audits at fault boundaries. [`crate::host::run`] is its
+//! 1-shard case.
 //!
 //! * **Stable flow→shard hashing** ([`eiffel_sim::shard_of`]): a flow's
-//!   packets always meet the same qdisc instance, so per-flow FIFO order and
-//!   shaping behaviour are preserved no matter how many cores serve the
-//!   host. The shard-equivalence property test pins this: an N-shard host
-//!   is *per-flow identical* (release times, byte counts, drop decisions)
-//!   to the single-shard host.
+//!   packets always meet the same qdisc instance, so an N-shard host is
+//!   *per-flow identical* (release times, byte counts, drop decisions) to
+//!   the single-shard host — pinned by the shard-equivalence property test.
 //! * **Per-shard timers and CPU meters**: each simulated core arms its own
 //!   softirq timer from its own qdisc's `next_deadline` and meters its own
-//!   enqueue/dequeue nanoseconds; the merged [`ShardedReport`] carries both
-//!   the per-shard and the aggregate view (rate, backlog, drops, fires).
+//!   enqueue/dequeue nanoseconds.
 //! * **Batched dequeue**: the softirq drain goes through
-//!   [`ShaperQdisc::dequeue_batch`] with [`HostConfig::batch`], the
-//!   queue-layer amortization (one min-find per due bucket) lifted into the
-//!   host pipeline.
+//!   [`ShaperQdisc::dequeue_batch`] with [`HostConfig::batch`](crate::HostConfig).
 //!
 //! Event ordering: at equal virtual time, timer (softirq) events run before
 //! source (syscall) events — softirq context preempts the sender path on a
@@ -31,93 +32,22 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::Arc;
 
-use eiffel_chaos::{Admission, AdmitPolicy, ChaosConfig, ShardFaults};
-use eiffel_core::{DegradeTier, MemBudget, FLOW_SETUP_BYTES, PKT_SLAB_BYTES};
+use eiffel_chaos::{Admission, AdmitPolicy, ShardFaults};
+use eiffel_core::DegradeTier;
 use eiffel_sim::cpu::{IRQ_ENTRY_NS, LOCK_NS, PER_PACKET_STACK_NS};
-use eiffel_sim::{shard_of, CpuCategory, CpuMeter, FlowId, Nanos, Packet, SplitMix64};
-use eiffel_workloads::{
-    summarize_closed_loop, ClosedLoopParams, ClosedLoopSource, ClosedLoopSummary,
-};
+use eiffel_sim::{shard_of, CpuCategory, CpuMeter, FlowId, Nanos, Packet, WallNanos};
+use eiffel_workloads::ClosedLoopSummary;
 
-use crate::host::{wanted_deadline, HostConfig};
+use crate::host::{wanted_deadline, RunConfig};
 use crate::qdisc::ShaperQdisc;
+use crate::source::{release_slabs, tier_of, Credit, FlowSource, Offer};
+use crate::threaded::CompletionKind;
 
-/// Parameters of a sharded run. `host.flows` and `host.aggregate` are the
-/// totals across all shards; flows are split by [`eiffel_sim::shard_of`].
-#[derive(Debug, Clone)]
-pub struct ShardedConfig {
-    /// Simulated cores (qdisc instances). 1 reproduces the single-core
-    /// host's behaviour under the sharded event rules.
-    pub shards: usize,
-    /// The per-host workload (flows, aggregate rate, duration, TSQ budget,
-    /// softirq drain batch).
-    pub host: HostConfig,
-    /// Per-flow in-qdisc packet cap (≥ 1): an arrival finding the flow at
-    /// its cap is dropped and the source retries one pacing gap later —
-    /// qdisc-full backpressure. `None` = never drop. Kept per-flow (not
-    /// per-shard) so drop decisions are shard-count-invariant, which the
-    /// equivalence property test asserts.
-    pub flow_cap: Option<u32>,
-    /// Finite workload: each flow emits exactly this many packets, then
-    /// stops (dropped arrivals are retried, not counted). The run ends when
-    /// the qdiscs drain, even before `host.duration`. `None` = flows stay
-    /// backlogged for the whole duration (the paper's neper workload).
-    ///
-    /// A finite workload makes the per-flow packet/byte/drop totals
-    /// *time-free* invariants — the property the threaded-vs-simulated
-    /// equivalence suite compares across clocks.
-    pub pkts_per_flow: Option<u64>,
-    /// Per-flow packet-count overrides (heavy-tailed workloads): flow `i`
-    /// emits `pkts_override[i]` packets. Takes precedence over
-    /// `pkts_per_flow` where present; must have `host.flows` entries.
-    pub pkts_override: Option<Vec<u64>>,
-    /// Per-flow first-emission times (incast waves): flow `i` starts at
-    /// `starts[i]`. `None` = the classic smooth stagger over one pacing
-    /// gap. Must have `host.flows` entries.
-    pub starts: Option<Vec<Nanos>>,
-    /// Fault plan + admission policy. The default is a no-op: no fault
-    /// windows, unlimited admission — behavior is bit-identical to the
-    /// pre-chaos host (the watchdog field is threaded-runtime-only and
-    /// ignored here; the virtual clock *knows* when stalls end).
-    pub chaos: ChaosConfig,
-    /// Closed-loop (DCTCP-style) sources: emissions are paced at a
-    /// per-flow rate scale driven by the ECN marks and drops the
-    /// admission layer echoes back on the completion path. `None` keeps
-    /// the historical open-loop sources bit-identical.
-    pub closed_loop: Option<ClosedLoopParams>,
-    /// Memory budget the run charges flow setup and packet slabs
-    /// against; its [`DegradeTier`] tightens admission and, at the
-    /// refuse tier, blocks new flow setup. `None` = unbounded (the
-    /// historical behavior).
-    pub mem: Option<Arc<MemBudget>>,
-    /// Base inter-emission gap for closed-loop sources, decoupled from
-    /// the shaped per-flow rate. The qdisc still paces (ranks) at
-    /// `aggregate/flows`; a source at full scale emits one packet per
-    /// `offered_gap` — smaller than the pacing gap means sustained
-    /// overload, the regime the control loop exists for. `None` = the
-    /// pacing gap (offered equals shaped; a quiet channel).
-    pub offered_gap: Option<Nanos>,
-}
-
-impl ShardedConfig {
-    /// `shards` cores over the given host workload, no drops, open-ended.
-    pub fn new(shards: usize, host: HostConfig) -> Self {
-        ShardedConfig {
-            shards,
-            host,
-            flow_cap: None,
-            pkts_per_flow: None,
-            pkts_override: None,
-            starts: None,
-            chaos: ChaosConfig::default(),
-            closed_loop: None,
-            mem: None,
-            offered_gap: None,
-        }
-    }
-}
+/// Parameters of a sharded run: the one [`RunConfig`], read on the virtual
+/// clock (`host.duration` bounds the run; `wall_limit`, `ring_capacity`
+/// and the watchdog are the wall clock's).
+pub type ShardedConfig = RunConfig;
 
 /// Admission outcomes split by the [`DegradeTier`] they were decided
 /// under — the per-tier marks/drops/shed view the overload reports
@@ -277,7 +207,7 @@ pub struct ShardStats {
     /// Worst in-qdisc sojourn of a released packet, ns.
     pub max_latency_ns: u64,
     /// Admission decisions split by the memory-pressure tier they were
-    /// made under (all in the `Normal` column without a [`MemBudget`]).
+    /// made under (all in the `Normal` column without a [`MemBudget`](eiffel_core::MemBudget)).
     pub tiers: TierCounters,
     /// Sojourn histogram of this shard's released packets.
     pub sojourn: SojournHist,
@@ -397,12 +327,14 @@ struct EvHeap {
 }
 
 impl EvHeap {
+    #[inline]
     fn schedule(&mut self, at: Nanos, ev: Ev) {
         let seq = self.seq;
         self.seq += 1;
         self.heap.push(Reverse((at, ev.kind(), seq, ev)));
     }
 
+    #[inline]
     fn pop(&mut self) -> Option<(Nanos, Ev)> {
         self.heap.pop().map(|Reverse((at, _, _, ev))| (at, ev))
     }
@@ -600,145 +532,29 @@ impl<Q: ShaperQdisc> Shard<Q> {
         self.timer_armed_at = Some(want);
         Some(want)
     }
-}
 
-/// What [`drive`] hands back before report assembly.
-pub(crate) struct DriveOutcome<Q> {
-    pub(crate) shards: Vec<Shard<Q>>,
-    peak_total_backlog: usize,
-    ring_full_retries: u64,
-    audits: u64,
-    emitted: u64,
-    residue: u64,
-    setup_refused: u64,
-    mem_deferrals: u64,
-    mem_peak: u64,
-    cl: Option<ClosedLoopSummary>,
-}
-
-/// Deterministic seeded jitter for retry backoff: a pure function of
-/// `(flow, attempt)`, so synchronized producers that hit a full ring at
-/// the same instant spread their retries out instead of returning in
-/// lockstep — and, being keyed on the flow rather than the shard, the
-/// draw is identical at every shard count (the N-vs-1 equivalence
-/// property survives).
-pub(crate) fn backoff_jitter(flow: FlowId, attempt: u32, span: Nanos) -> Nanos {
-    if span == 0 {
-        return 0;
-    }
-    SplitMix64::new(0xbac0_0ff5_eed0_0000 ^ (u64::from(flow) << 20) ^ u64::from(attempt)).next_u64()
-        % span
-}
-
-/// Closed-loop and memory-budget state of one run, bundled so every
-/// disposal path (direct ingress, post-stall ring drains, softirq
-/// releases) shares the same hooks. All hooks are cheap no-ops when
-/// neither feature is configured.
-struct Overload<'a> {
-    params: Option<ClosedLoopParams>,
-    cl: Vec<ClosedLoopSource>,
-    /// Earliest next emission per flow (closed-loop pacing).
-    next_allowed: Vec<Nanos>,
-    mem: Option<&'a MemBudget>,
-    /// Flow setup already charged (always true without a budget).
-    established: Vec<bool>,
-    /// Flow setup charge already released (finite flows that drained).
-    freed: Vec<bool>,
-    /// Per-flow retry attempts — the jitter key.
-    retry_seq: Vec<u32>,
-    setup_refused: u64,
-    mem_deferrals: u64,
-}
-
-impl<'a> Overload<'a> {
-    fn new(cfg: &'a ShardedConfig) -> Self {
-        let flows = cfg.host.flows;
-        let mem = cfg.mem.as_deref();
-        Overload {
-            params: cfg.closed_loop,
-            cl: match &cfg.closed_loop {
-                Some(p) => vec![ClosedLoopSource::new(p); flows],
-                None => Vec::new(),
+    /// This core's slice of the report, its rate taken over `secs`.
+    pub(crate) fn stats(&self, secs: f64) -> ShardStats {
+        ShardStats {
+            flows: self.flows,
+            transmitted: self.transmitted,
+            achieved_bps: self.tx_bytes as f64 * 8.0 / secs,
+            dropped: self.dropped,
+            timer_fires: self.timer_fires,
+            median_cores: self.meter.median_cores(),
+            peak_backlog: self.peak_backlog,
+            admission_dropped: self.admission_dropped,
+            ecn_marked: self.ecn_marked,
+            evicted: self.evicted,
+            mean_latency_ns: if self.transmitted > 0 {
+                self.lat_sum_ns as f64 / self.transmitted as f64
+            } else {
+                0.0
             },
-            next_allowed: vec![0; if cfg.closed_loop.is_some() { flows } else { 0 }],
-            mem,
-            established: vec![mem.is_none(); flows],
-            freed: vec![false; if mem.is_some() { flows } else { 0 }],
-            retry_seq: vec![0; flows],
-            setup_refused: 0,
-            mem_deferrals: 0,
+            max_latency_ns: self.lat_max_ns,
+            tiers: self.tiers,
+            sojourn: self.sojourn.clone(),
         }
-    }
-
-    fn tier(&self) -> DegradeTier {
-        self.mem.map_or(DegradeTier::Normal, |m| m.tier())
-    }
-
-    /// Next jittered retry delay for `flow` around a base `gap`.
-    fn retry_in(&mut self, flow: FlowId, gap: Nanos) -> Nanos {
-        let i = flow as usize;
-        self.retry_seq[i] = self.retry_seq[i].wrapping_add(1);
-        let gap = gap.max(1);
-        gap + backoff_jitter(flow, self.retry_seq[i], gap / 2)
-    }
-
-    /// A packet of `flow` was disposed without transmission (admission
-    /// drop, or this flow's resident was shed): free its slab charge and
-    /// feed the transport a loss signal.
-    fn on_loss(&mut self, flow: FlowId) {
-        if let Some(m) = self.mem {
-            m.release(PKT_SLAB_BYTES);
-        }
-        if let Some(p) = &self.params {
-            self.cl[flow as usize].on_loss(p);
-        }
-    }
-
-    /// A packet of `flow` was transmitted: free its slab charge and echo
-    /// the ECN bit to the transport.
-    fn on_delivery(&mut self, flow: FlowId, marked: bool) {
-        if let Some(m) = self.mem {
-            m.release(PKT_SLAB_BYTES);
-        }
-        if let Some(p) = &self.params {
-            self.cl[flow as usize].on_completion(p, marked);
-        }
-    }
-
-    /// Release the flow-setup charge once a finite flow has fully
-    /// drained (sent its limit and nothing remains in flight) — flow
-    /// teardown, the churn that keeps the active set bounded.
-    fn maybe_free_flow(&mut self, i: usize, sent: u64, limit: u64, inflight: u32) {
-        let Some(m) = self.mem else { return };
-        if !self.freed[i]
-            && self.established[i]
-            && limit != u64::MAX
-            && sent >= limit
-            && inflight == 0
-        {
-            self.freed[i] = true;
-            m.release(FLOW_SETUP_BYTES);
-        }
-    }
-
-    /// Run over: the sources close. Residue packets (in qdiscs and
-    /// pending rings) and still-established flows hold charges the
-    /// completion path can no longer return — release them here so the
-    /// ledger ends at zero, mirroring the threaded producer's exit
-    /// teardown.
-    fn close_books(&mut self, residue: u64) {
-        let Some(m) = self.mem else { return };
-        m.release(PKT_SLAB_BYTES.saturating_mul(residue));
-        for i in 0..self.established.len() {
-            if self.established[i] && !self.freed[i] {
-                self.freed[i] = true;
-                m.release(FLOW_SETUP_BYTES);
-            }
-        }
-    }
-
-    fn summary(&self) -> Option<ClosedLoopSummary> {
-        self.params.map(|_| summarize_closed_loop(&self.cl))
     }
 }
 
@@ -750,7 +566,7 @@ pub fn run_sharded<Q: ShaperQdisc>(
     mk: impl FnMut(usize) -> Q,
     cfg: &ShardedConfig,
 ) -> ShardedReport {
-    run_inner(mk, cfg, None)
+    drive(mk, cfg, None).0
 }
 
 /// [`run_sharded`] plus the packet-level [`ShardTrace`] — the equivalence
@@ -760,155 +576,198 @@ pub fn run_sharded_traced<Q: ShaperQdisc>(
     cfg: &ShardedConfig,
 ) -> (ShardedReport, ShardTrace) {
     let mut trace = ShardTrace::default();
-    let report = run_inner(mk, cfg, Some(&mut trace));
+    let (report, _) = drive(mk, cfg, Some(&mut trace));
     (report, trace)
 }
 
-fn run_inner<Q: ShaperQdisc>(
-    mk: impl FnMut(usize) -> Q,
-    cfg: &ShardedConfig,
-    trace: Option<&mut ShardTrace>,
-) -> ShardedReport {
-    let outcome = drive(mk, cfg, trace);
-    let host = &cfg.host;
-    let name = outcome.shards[0].qdisc.name();
-    let secs = host.duration as f64 / 1e9;
-    let per_shard: Vec<ShardStats> = outcome
-        .shards
-        .iter()
-        .map(|sh| ShardStats {
-            flows: sh.flows,
-            transmitted: sh.transmitted,
-            achieved_bps: sh.tx_bytes as f64 * 8.0 / secs,
-            dropped: sh.dropped,
-            timer_fires: sh.timer_fires,
-            median_cores: sh.meter.median_cores(),
-            peak_backlog: sh.peak_backlog,
-            admission_dropped: sh.admission_dropped,
-            ecn_marked: sh.ecn_marked,
-            evicted: sh.evicted,
-            mean_latency_ns: if sh.transmitted > 0 {
-                sh.lat_sum_ns as f64 / sh.transmitted as f64
-            } else {
-                0.0
-            },
-            max_latency_ns: sh.lat_max_ns,
-            tiers: sh.tiers,
-            sojourn: sh.sojourn.clone(),
-        })
-        .collect();
-    ShardedReport {
-        name,
-        transmitted: per_shard.iter().map(|s| s.transmitted).sum(),
-        achieved_bps: per_shard.iter().map(|s| s.achieved_bps).sum(),
-        dropped: per_shard.iter().map(|s| s.dropped).sum(),
-        timer_fires: per_shard.iter().map(|s| s.timer_fires).sum(),
-        total_median_cores: per_shard.iter().map(|s| s.median_cores).sum(),
-        peak_backlog: outcome.peak_total_backlog,
-        admission_dropped: per_shard.iter().map(|s| s.admission_dropped).sum(),
-        ecn_marked: per_shard.iter().map(|s| s.ecn_marked).sum(),
-        evicted: per_shard.iter().map(|s| s.evicted).sum(),
-        ring_full_retries: outcome.ring_full_retries,
-        audits: outcome.audits,
-        emitted: outcome.emitted,
-        residue: outcome.residue,
-        setup_refused: outcome.setup_refused,
-        mem_deferrals: outcome.mem_deferrals,
-        mem_peak: outcome.mem_peak,
-        cl: outcome.cl,
-        per_shard,
-    }
-}
-
-/// Conservation audit: every minted packet is transmitted, dropped by
-/// admission, evicted, in a qdisc, or parked in a pending ring.
-fn audit<Q: ShaperQdisc>(
-    now: Nanos,
-    shards: &[Shard<Q>],
-    pending: &[VecDeque<Packet>],
-    next_pkt_id: u64,
-    total_backlog: usize,
-) {
-    let delivered_or_dropped: u64 = shards
-        .iter()
-        .map(|sh| sh.transmitted + sh.admission_dropped + sh.evicted)
-        .sum();
-    let in_ring: usize = pending.iter().map(|p| p.len()).sum();
-    assert_eq!(
-        next_pkt_id,
-        delivered_or_dropped + (total_backlog + in_ring) as u64,
-        "packet conservation violated at t={now}"
-    );
-}
-
-/// TSQ refund for a packet the qdisc freed without transmitting (admission
-/// drop or eviction): the kernel frees the skb, so the flow's budget comes
-/// back immediately — and a throttled flow gets its resume callback.
-fn refund(
-    now: Nanos,
-    flow: FlowId,
-    budget: &mut [u32],
-    inflight: &mut [u32],
-    sent: &[u64],
-    limits: &[u64],
-    events: &mut EvHeap,
-) {
-    let i = flow as usize;
-    inflight[i] -= 1;
-    if budget[i] == 0 && sent[i] < limits[i] {
-        events.schedule(now, Ev::Source(flow));
-    }
-    budget[i] += 1;
-}
-
-/// Admission + enqueue of one minted packet at its home shard, shared by
-/// the direct ingress path and the post-stall ring drain. Updates the
-/// host-level backlog and performs TSQ refunds for refused/evicted packets;
-/// the shard's own counters are updated inside [`Shard::ingress`]. Packets
-/// disposed without transmission feed the closed loop a loss signal and
-/// return their slab charge to the memory budget.
-#[allow(clippy::too_many_arguments)]
-fn admit_one<Q: ShaperQdisc>(
-    now: Nanos,
-    pkt: Packet,
-    sh: &mut Shard<Q>,
+/// The virtual-clock driver's live state: what the three event handlers
+/// share.
+struct Virtual<'a, Q> {
+    cfg: &'a RunConfig,
     per_flow_bps: u64,
-    admit: &AdmitPolicy,
-    budget: &mut [u32],
-    inflight: &mut [u32],
-    sent: &[u64],
-    limits: &[u64],
-    total_backlog: &mut usize,
-    events: &mut EvHeap,
-    ov: &mut Overload<'_>,
-) {
-    let flow = pkt.flow;
-    match sh.ingress(now, pkt, per_flow_bps, admit, ov.tier()) {
-        IngressVerdict::Queued | IngressVerdict::Marked => {
-            *total_backlog += 1;
+    batch: usize,
+    shards: Vec<Shard<Q>>,
+    /// Stable flow→shard map, fixed before any packet moves.
+    home: Vec<u32>,
+    faults: Vec<ShardFaults>,
+    /// The ingress rings stalled cores park arrivals in (empty without a
+    /// stall fault).
+    pending: Vec<VecDeque<Packet>>,
+    events: EvHeap,
+    src: FlowSource<'a>,
+    trace: Option<&'a mut ShardTrace>,
+    released: Vec<Packet>,
+    total_backlog: usize,
+    peak_total_backlog: usize,
+    ring_full_retries: u64,
+}
+
+impl<Q: ShaperQdisc> Virtual<'_, Q> {
+    /// Conservation audit: every minted packet is transmitted, dropped by
+    /// admission, evicted, in a qdisc, or parked in a pending ring.
+    fn audit(&self, now: Nanos) {
+        let disposed: u64 = self
+            .shards
+            .iter()
+            .map(|sh| sh.transmitted + sh.admission_dropped + sh.evicted)
+            .sum();
+        assert_eq!(
+            self.src.emitted(),
+            disposed + self.residue(),
+            "packet conservation violated at t={now}"
+        );
+    }
+
+    /// Packets inside qdiscs and pending rings.
+    fn residue(&self) -> u64 {
+        (self.total_backlog + self.pending.iter().map(|p| p.len()).sum::<usize>()) as u64
+    }
+
+    /// A packet of `flow` left the system: on this clock disposal and
+    /// completion coincide, so the slab frees, the source gets its budget
+    /// and signal back, and a throttled flow's TSQ callback is a source
+    /// event at the same instant.
+    fn dispose(&mut self, now: Nanos, flow: FlowId, kind: CompletionKind) {
+        release_slabs(self.cfg.mem.as_deref(), 1);
+        if self.src.complete(flow, kind) == Credit::Wake {
+            self.events.schedule(now, Ev::Source(flow));
         }
-        IngressVerdict::DroppedArrival => {
-            ov.on_loss(flow);
-            refund(now, flow, budget, inflight, sent, limits, events);
-            ov.maybe_free_flow(
-                flow as usize,
-                sent[flow as usize],
-                limits[flow as usize],
-                inflight[flow as usize],
-            );
-        }
-        IngressVerdict::Evicted(victim) => {
+    }
+
+    /// Admission + enqueue of one minted packet at shard `s` — the direct
+    /// ingress path and the post-stall ring drain.
+    fn admit(&mut self, now: Nanos, s: usize, pkt: Packet) {
+        let flow = pkt.flow;
+        let (admit, tier) = (&self.cfg.chaos.admit, tier_of(self.cfg.mem.as_deref()));
+        match self.shards[s].ingress(now, pkt, self.per_flow_bps, admit, tier) {
+            IngressVerdict::Queued | IngressVerdict::Marked => {
+                self.total_backlog += 1;
+                self.peak_total_backlog = self.peak_total_backlog.max(self.total_backlog);
+            }
+            IngressVerdict::DroppedArrival => self.dispose(now, flow, CompletionKind::Dropped),
             // The arrival went in and the worst resident came out: the
-            // backlog is net unchanged; only the victim's flow is refunded.
-            let v = victim.flow;
-            ov.on_loss(v);
-            refund(now, v, budget, inflight, sent, limits, events);
-            ov.maybe_free_flow(
-                v as usize,
-                sent[v as usize],
-                limits[v as usize],
-                inflight[v as usize],
-            );
+            // backlog is net unchanged; only the victim's flow hears of it.
+            IngressVerdict::Evicted(victim) => {
+                self.dispose(now, victim.flow, CompletionKind::Dropped)
+            }
+        }
+    }
+
+    /// Schedules shard `s`'s (re)armed timer, plus any injected jitter.
+    fn arm(&mut self, s: usize, want: Nanos) {
+        let epoch = self.shards[s].timer_epoch();
+        let at = want + self.faults[s].timer_extra_delay(want, epoch);
+        let shard = s as u32;
+        self.events.schedule(at, Ev::Timer { shard, epoch });
+    }
+
+    /// Flow `id` has (possibly) something to send: ask the source model and
+    /// turn its verdict into events.
+    fn source(&mut self, now: Nanos, id: FlowId) {
+        let s = self.home[id as usize] as usize;
+        let stall_end = self.faults[s].stall_until(now);
+        // Only a stalled core's ring can fill: outside a stall the virtual
+        // consumer is infinitely fast.
+        let room = || {
+            stall_end.is_none()
+                || self.pending[s].len() < self.faults[s].ring_capacity(now, usize::MAX)
+        };
+        let retry_at = match self.src.offer(id, now, room) {
+            Offer::Idle => return,
+            Offer::Paced(at) | Offer::MemDeferred(at) => at,
+            // Wake-up policy of this clock: a refused set-up retries much
+            // later, jittered, so a recovering budget is not stampeded.
+            Offer::SetupRefused => {
+                now + self.src.retry_in(id, self.src.emit_gap().saturating_mul(8))
+            }
+            // The stalled shard's ring is full: back off around one gap,
+            // jittered so synchronized retries do not return in lockstep.
+            Offer::RingFull => {
+                self.ring_full_retries += 1;
+                now + self.src.retry_in(id, self.src.emit_gap())
+            }
+            Offer::CapDrop { seq, retry_at } => {
+                self.shards[s].dropped += 1;
+                if let Some(t) = self.trace.as_deref_mut() {
+                    t.drops.push((now, id, seq));
+                }
+                retry_at
+            }
+            Offer::Emit { pkt, again } => {
+                if let Some(until) = stall_end {
+                    // Core paused: park in the ingress ring; the first
+                    // parked packet schedules the resume drain.
+                    self.pending[s].push_back(pkt);
+                    if self.pending[s].len() == 1 {
+                        self.events.schedule(until, Ev::Resume { shard: s as u32 });
+                    }
+                } else {
+                    self.admit(now, s, pkt);
+                    if let Some(want) = self.shards[s].tighten_timer(now) {
+                        self.arm(s, want);
+                    }
+                }
+                match again {
+                    Some(at) => at,
+                    None => return,
+                }
+            }
+        };
+        self.events.schedule(retry_at, Ev::Source(id));
+    }
+
+    /// Shard `s`'s stall window ended: drain its ingress ring in arrival
+    /// order through admission.
+    fn resume(&mut self, now: Nanos, s: usize) {
+        if let Some(until) = self.faults[s].stall_until(now) {
+            // An overlapping window extended the stall: stay parked.
+            self.events.schedule(until, Ev::Resume { shard: s as u32 });
+            return;
+        }
+        while let Some(pkt) = self.pending[s].pop_front() {
+            self.admit(now, s, pkt);
+        }
+        if let Some(want) = self.shards[s].tighten_timer(now) {
+            self.arm(s, want);
+        }
+    }
+
+    /// Shard `s`'s softirq timer fired.
+    fn timer(&mut self, now: Nanos, s: usize, epoch: u64) {
+        if !self.shards[s].timer_epoch_is(epoch) {
+            return; // superseded timer, never fired in hardware
+        }
+        if let Some(until) = self.faults[s].stall_until(now) {
+            // The core is paused: the hrtimer interrupt pends in hardware
+            // and delivers when the core resumes.
+            let shard = s as u32;
+            self.events.schedule(until, Ev::Timer { shard, epoch });
+            return;
+        }
+        let mut released = std::mem::take(&mut self.released);
+        self.shards[s].softirq(now, self.batch, &mut released);
+        // Slow consumer: extra per-packet CPU in softirq context.
+        let penalty = self.faults[s]
+            .consumer_penalty_ns(now)
+            .saturating_mul(released.len() as u64);
+        if penalty > 0 {
+            let extra = WallNanos::from_nanos(penalty);
+            self.shards[s]
+                .meter
+                .charge(now, CpuCategory::SoftIrq, extra);
+        }
+        for p in released.drain(..) {
+            self.total_backlog -= 1;
+            if let Some(t) = self.trace.as_deref_mut() {
+                t.releases.push((now, p.flow, p.bytes));
+            }
+            self.dispose(now, p.flow, CompletionKind::delivered(p.ecn));
+        }
+        self.released = released;
+        // Re-arm; a slow consumer cannot fire again before its delayed
+        // drain would have finished.
+        if let Some(want) = self.shards[s].rearm(now) {
+            self.arm(s, want.max(now + penalty));
         }
     }
 }
@@ -921,9 +780,9 @@ fn admit_one<Q: ShaperQdisc>(
 ///
 /// * **Stall**: the core is paused — arrivals park in a per-shard pending
 ///   ring (bounded by the squeezed ring capacity; emissions that find it
-///   full back off a pacing gap without consuming budget, counted in
+///   full back off an offered gap without consuming budget, counted in
 ///   [`ShardedReport::ring_full_retries`]) and pended timer interrupts
-///   deliver at stall end. An [`Ev::Resume`] drains the ring in arrival
+///   deliver at stall end. An `Ev::Resume` drains the ring in arrival
 ///   order through admission when the stall lifts.
 /// * **RingSqueeze**: bounds the pending ring. Outside a stall the virtual
 ///   consumer is infinitely fast, so a squeeze alone cannot fill the ring —
@@ -941,351 +800,101 @@ fn admit_one<Q: ShaperQdisc>(
 /// Packet conservation — `minted = transmitted + admission_dropped +
 /// evicted + in-qdisc + in-ring` — is asserted every time virtual time
 /// crosses a fault-window boundary, and once at end of run.
-pub(crate) fn drive<Q: ShaperQdisc>(
+pub(crate) fn drive<'a, Q: ShaperQdisc>(
     mut mk: impl FnMut(usize) -> Q,
-    cfg: &ShardedConfig,
-    mut trace: Option<&mut ShardTrace>,
-) -> DriveOutcome<Q> {
-    let n_shards = cfg.shards.max(1);
+    cfg: &'a RunConfig,
+    trace: Option<&'a mut ShardTrace>,
+) -> (ShardedReport, Vec<Shard<Q>>) {
+    cfg.validate();
     let host = &cfg.host;
-    let flow_cap = cfg.flow_cap.map(|c| c.max(1));
-    let per_flow_bps = (host.aggregate.as_bps() / host.flows as u64).max(1);
-    let pacing_gap = 1_500 * 8 * 1_000_000_000 / per_flow_bps; // ns per MTU
-                                                               // Source-side base emission gap: the overload knob. Defaults to the
-                                                               // pacing gap (offered == shaped).
-    let emit_gap = cfg.offered_gap.unwrap_or(pacing_gap).max(1);
-    let batch = host.batch.max(1);
-    let admit = &cfg.chaos.admit;
-
-    // Per-flow emission limits: explicit override > uniform cap > open.
-    let limits: Vec<u64> = match &cfg.pkts_override {
-        Some(v) => {
-            assert_eq!(v.len(), host.flows, "pkts_override length");
-            v.clone()
-        }
-        None => vec![cfg.pkts_per_flow.unwrap_or(u64::MAX); host.flows],
-    };
-
+    let n_shards = cfg.shards.max(1);
     let mut shards: Vec<Shard<Q>> = (0..n_shards)
         .map(|i| Shard::new(mk(i), CpuMeter::new(host.bin, host.duration)))
         .collect();
-
-    // Compiled per-shard fault schedules and the pending ingress rings the
-    // stall model parks arrivals in. All empty for a no-op plan.
-    let faults: Vec<ShardFaults> = (0..n_shards).map(|s| cfg.chaos.plan.compile(s)).collect();
-    let mut pending: Vec<VecDeque<Packet>> = (0..n_shards).map(|_| VecDeque::new()).collect();
-    let boundaries = cfg.chaos.plan.boundaries();
-    let mut next_boundary = 0usize;
-    let mut ring_full_retries = 0u64;
-    let mut audits = 0u64;
-
-    // Stable flow→shard map, fixed before any packet moves.
     let home: Vec<u32> = (0..host.flows as u32)
         .map(|f| shard_of(f, n_shards) as u32)
         .collect();
     for &h in &home {
         shards[h as usize].flows += 1;
     }
-
-    // Per-flow state: TSQ budget, in-qdisc count (for the cap), arrival
-    // counter (drop indices in the trace).
-    let mut budget = vec![host.tsq_budget; host.flows];
-    let mut inflight = vec![0u32; host.flows];
-    let mut arrivals = vec![0u64; host.flows];
-    let mut sent = vec![0u64; host.flows];
-
-    // Closed-loop transports and the memory-budget accountant (no-ops
-    // unless configured on `cfg`).
-    let mut ov = Overload::new(cfg);
-
-    let mut events = EvHeap::default();
-    // First emissions: explicit start times (incast waves), or staggered
-    // across one pacing gap as in `host::run` — the stagger depends only on
-    // the flow id and the *total* flow count, so it is identical at every
-    // shard count.
-    if let Some(starts) = &cfg.starts {
-        assert_eq!(starts.len(), host.flows, "starts length");
-        for id in 0..host.flows as u32 {
-            events.schedule(starts[id as usize], Ev::Source(id));
-        }
-    } else {
-        for id in 0..host.flows as u32 {
-            let at = pacing_gap * id as u64 / host.flows as u64;
-            events.schedule(at, Ev::Source(id));
-        }
+    let mut v = Virtual {
+        cfg,
+        per_flow_bps: host.per_flow_bps(),
+        batch: host.batch.max(1),
+        shards,
+        home,
+        faults: (0..n_shards).map(|s| cfg.chaos.plan.compile(s)).collect(),
+        pending: (0..n_shards).map(|_| VecDeque::new()).collect(),
+        events: EvHeap::default(),
+        // This clock staggers first emissions over one *pacing* gap.
+        src: FlowSource::new(cfg, host.pacing_gap()),
+        trace,
+        released: Vec::new(),
+        total_backlog: 0,
+        peak_total_backlog: 0,
+        ring_full_retries: 0,
+    };
+    for id in 0..host.flows as u32 {
+        v.events.schedule(v.src.start_at(id), Ev::Source(id));
     }
 
-    let mut next_pkt_id = 0u64;
-    let mut total_backlog = 0usize;
-    let mut peak_total_backlog = 0usize;
-    let mut released: Vec<Packet> = Vec::new();
-
-    while let Some((now, ev)) = events.pop() {
+    // The books must balance exactly whenever a fault engages or clears,
+    // and after the heap drains too.
+    let boundaries = cfg.chaos.plan.boundaries();
+    let mut audits = 0;
+    while let Some((now, ev)) = v.events.pop() {
         if now >= host.duration {
             break;
         }
-        // Audit at every fault-boundary crossing: the books must balance
-        // exactly when a fault engages or clears.
-        while boundaries.get(next_boundary).is_some_and(|&b| b <= now) {
-            audit(now, &shards, &pending, next_pkt_id, total_backlog);
+        while boundaries.get(audits).is_some_and(|&b| b <= now) {
+            v.audit(now);
             audits += 1;
-            next_boundary += 1;
         }
         match ev {
-            Ev::Source(id) => {
-                let i = id as usize;
-                if budget[i] == 0 || sent[i] >= limits[i] {
-                    continue; // TSQ throttled (a completion reschedules us)
-                              // or the finite workload is done.
-                }
-                if ov.params.is_some() && now < ov.next_allowed[i] {
-                    // Closed-loop pacing: the transport's congestion window
-                    // says not yet. (Stray wakeups from completion refunds
-                    // land here and defer to the paced slot.)
-                    events.schedule(ov.next_allowed[i], Ev::Source(id));
-                    continue;
-                }
-                if !ov.established[i] {
-                    // Flow setup under a memory budget: the refuse tier (or
-                    // an exhausted budget) turns new flows away at the door
-                    // — the strongest degradation, taken before any packet
-                    // memory is committed. Refused flows retry much later,
-                    // jittered, so recovering budgets aren't stampeded.
-                    let m = ov
-                        .mem
-                        .expect("unestablished flows only exist under a budget");
-                    if m.tier() == DegradeTier::Refuse || !m.try_charge(FLOW_SETUP_BYTES) {
-                        ov.setup_refused += 1;
-                        let delay = ov.retry_in(id, emit_gap.saturating_mul(8));
-                        events.schedule(now + delay, Ev::Source(id));
-                        continue;
-                    }
-                    ov.established[i] = true;
-                }
-                let s = home[i] as usize;
-                if faults[s].stalled(now)
-                    && pending[s].len() >= faults[s].ring_capacity(now, usize::MAX)
-                {
-                    // The stalled shard's ingress ring is full: the emission
-                    // itself is deferred — no budget consumed, no packet
-                    // minted yet. Bounded backoff around one pacing gap,
-                    // jittered per (flow, attempt) so the synchronized
-                    // retries don't thunder back in lockstep.
-                    ring_full_retries += 1;
-                    let delay = ov.retry_in(id, emit_gap);
-                    events.schedule(now + delay, Ev::Source(id));
-                    continue;
-                }
-                arrivals[i] += 1;
-                if flow_cap.is_some_and(|cap| inflight[i] >= cap) {
-                    // Qdisc-full backpressure: drop and retry a gap later.
-                    shards[s].dropped += 1;
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.drops.push((now, id, arrivals[i] - 1));
-                    }
-                    events.schedule(now + pacing_gap.max(1), Ev::Source(id));
-                    continue;
-                }
-                if let Some(m) = ov.mem {
-                    // Per-packet slab accounting: an exhausted budget defers
-                    // the emission (jittered) instead of allocating — the
-                    // hard guarantee that backlog memory never exceeds the
-                    // budget, whatever the qdisc caps say.
-                    if !m.try_charge(PKT_SLAB_BYTES) {
-                        ov.mem_deferrals += 1;
-                        let delay = ov.retry_in(id, emit_gap);
-                        events.schedule(now + delay, Ev::Source(id));
-                        continue;
-                    }
-                }
-                budget[i] -= 1;
-                inflight[i] += 1;
-                sent[i] += 1;
-                let pkt = Packet::mtu(next_pkt_id, id, now);
-                next_pkt_id += 1;
-                // Open loop: bulk sender, next packet goes straight away
-                // (the qdisc paces). Closed loop: the transport paces its
-                // own emissions, stretching the base gap by the inverse of
-                // its congestion scale.
-                let next_at = if ov.params.is_some() {
-                    let at = now + ov.cl[i].gap(emit_gap).max(1);
-                    ov.next_allowed[i] = at;
-                    at
-                } else {
-                    now
-                };
-                if faults[s].stalled(now) {
-                    // Core paused: park in the ingress ring; the first
-                    // parked packet schedules the resume drain.
-                    pending[s].push_back(pkt);
-                    if pending[s].len() == 1 {
-                        let until = faults[s].stall_until(now).expect("stalled => end");
-                        events.schedule(until, Ev::Resume { shard: s as u32 });
-                    }
-                    if budget[i] > 0 && sent[i] < limits[i] {
-                        events.schedule(next_at, Ev::Source(id));
-                    }
-                    continue;
-                }
-                admit_one(
-                    now,
-                    pkt,
-                    &mut shards[s],
-                    per_flow_bps,
-                    admit,
-                    &mut budget,
-                    &mut inflight,
-                    &sent,
-                    &limits,
-                    &mut total_backlog,
-                    &mut events,
-                    &mut ov,
-                );
-                peak_total_backlog = peak_total_backlog.max(total_backlog);
-                if budget[i] > 0 && sent[i] < limits[i] {
-                    events.schedule(next_at, Ev::Source(id));
-                }
-                // Arm (or tighten) this shard's timer.
-                let sh = &mut shards[s];
-                if let Some(want) = sh.tighten_timer(now) {
-                    let at = want + faults[s].timer_extra_delay(want, sh.timer_epoch);
-                    events.schedule(
-                        at,
-                        Ev::Timer {
-                            shard: s as u32,
-                            epoch: sh.timer_epoch,
-                        },
-                    );
-                }
-            }
-            Ev::Resume { shard } => {
-                let s = shard as usize;
-                if faults[s].stalled(now) {
-                    // An overlapping window extended the stall: stay parked.
-                    let until = faults[s].stall_until(now).expect("stalled => end");
-                    events.schedule(until, Ev::Resume { shard });
-                    continue;
-                }
-                // Drain the ingress ring in arrival order through admission.
-                while let Some(pkt) = pending[s].pop_front() {
-                    admit_one(
-                        now,
-                        pkt,
-                        &mut shards[s],
-                        per_flow_bps,
-                        admit,
-                        &mut budget,
-                        &mut inflight,
-                        &sent,
-                        &limits,
-                        &mut total_backlog,
-                        &mut events,
-                        &mut ov,
-                    );
-                }
-                peak_total_backlog = peak_total_backlog.max(total_backlog);
-                let sh = &mut shards[s];
-                if let Some(want) = sh.tighten_timer(now) {
-                    let at = want + faults[s].timer_extra_delay(want, sh.timer_epoch);
-                    events.schedule(
-                        at,
-                        Ev::Timer {
-                            shard,
-                            epoch: sh.timer_epoch,
-                        },
-                    );
-                }
-            }
-            Ev::Timer { shard, epoch } => {
-                let s = shard as usize;
-                if faults[s].stalled(now) {
-                    // The core is paused: the hrtimer interrupt pends in
-                    // hardware and delivers when the core resumes.
-                    if shards[s].timer_epoch_is(epoch) {
-                        let until = faults[s].stall_until(now).expect("stalled => end");
-                        events.schedule(until, Ev::Timer { shard, epoch });
-                    }
-                    continue;
-                }
-                let released_count;
-                {
-                    let sh = &mut shards[s];
-                    if !sh.timer_epoch_is(epoch) {
-                        continue; // superseded timer, never fired in hardware
-                    }
-                    sh.softirq(now, batch, &mut released);
-                    released_count = released.len() as u64;
-                }
-                let penalty = faults[s].consumer_penalty_ns(now);
-                if penalty > 0 && released_count > 0 {
-                    // Slow consumer: extra per-packet CPU in softirq context.
-                    shards[s].meter.charge(
-                        now,
-                        CpuCategory::SoftIrq,
-                        eiffel_sim::WallNanos::from_nanos(penalty.saturating_mul(released_count)),
-                    );
-                }
-                for p in released.drain(..) {
-                    total_backlog -= 1;
-                    let i = p.flow as usize;
-                    inflight[i] -= 1;
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.releases.push((now, p.flow, p.bytes));
-                    }
-                    if budget[i] == 0 && sent[i] < limits[i] {
-                        // TSQ callback: the flow was throttled — resume it.
-                        events.schedule(now, Ev::Source(p.flow));
-                    }
-                    budget[i] += 1;
-                    // Completion path: the slab frees, and the transport
-                    // sees the echoed ECN bit — the feedback edge of the
-                    // closed loop.
-                    ov.on_delivery(p.flow, p.ecn);
-                    ov.maybe_free_flow(i, sent[i], limits[i], inflight[i]);
-                }
-                // Re-arm; a slow consumer cannot fire again before its
-                // delayed drain would have finished.
-                let sh = &mut shards[s];
-                if let Some(want) = sh.rearm(now) {
-                    let want = want.max(now + penalty.saturating_mul(released_count));
-                    let at = want + faults[s].timer_extra_delay(want, sh.timer_epoch);
-                    events.schedule(
-                        at,
-                        Ev::Timer {
-                            shard,
-                            epoch: sh.timer_epoch,
-                        },
-                    );
-                }
-            }
+            Ev::Source(id) => v.source(now, id),
+            Ev::Resume { shard } => v.resume(now, shard as usize),
+            Ev::Timer { shard, epoch } => v.timer(now, shard as usize, epoch),
         }
     }
+    v.audit(host.duration);
 
-    // End-of-run audit: the books balance after the heap drains too.
-    audit(host.duration, &shards, &pending, next_pkt_id, total_backlog);
-    audits += 1;
-
-    let in_ring: u64 = pending.iter().map(|p| p.len() as u64).sum();
-    ov.close_books(total_backlog as u64 + in_ring);
-    DriveOutcome {
-        shards,
-        peak_total_backlog,
-        ring_full_retries,
-        audits,
-        emitted: next_pkt_id,
-        residue: total_backlog as u64 + in_ring,
-        setup_refused: ov.setup_refused,
-        mem_deferrals: ov.mem_deferrals,
+    let residue = v.residue();
+    v.src.close_books(residue);
+    let secs = host.duration as f64 / 1e9;
+    let per_shard: Vec<ShardStats> = v.shards.iter().map(|sh| sh.stats(secs)).collect();
+    let report = ShardedReport {
+        name: v.shards[0].qdisc.name(),
+        transmitted: per_shard.iter().map(|s| s.transmitted).sum(),
+        achieved_bps: per_shard.iter().map(|s| s.achieved_bps).sum(),
+        dropped: per_shard.iter().map(|s| s.dropped).sum(),
+        timer_fires: per_shard.iter().map(|s| s.timer_fires).sum(),
+        total_median_cores: per_shard.iter().map(|s| s.median_cores).sum(),
+        peak_backlog: v.peak_total_backlog,
+        admission_dropped: per_shard.iter().map(|s| s.admission_dropped).sum(),
+        ecn_marked: per_shard.iter().map(|s| s.ecn_marked).sum(),
+        evicted: per_shard.iter().map(|s| s.evicted).sum(),
+        ring_full_retries: v.ring_full_retries,
+        audits: audits as u64 + 1,
+        emitted: v.src.emitted(),
+        residue,
+        setup_refused: v.src.setup_refused,
+        mem_deferrals: v.src.mem_deferrals,
         mem_peak: cfg.mem.as_ref().map_or(0, |m| m.peak()),
-        cl: ov.summary(),
-    }
+        cl: v.src.summary(),
+        per_shard,
+    };
+    (report, v.shards)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::eiffel::EiffelQdisc;
+    use crate::host::HostConfig;
+    use eiffel_core::MemBudget;
     use eiffel_sim::{Rate, SECOND};
+    use eiffel_workloads::ClosedLoopParams;
+    use std::sync::Arc;
 
     fn small_host(batch: usize) -> HostConfig {
         HostConfig {
@@ -1379,31 +988,6 @@ mod tests {
         assert_eq!(base.dropped, batched.dropped);
     }
 
-    /// The backoff jitter is a pure function of `(flow, attempt)` — the
-    /// property that keeps the virtual runtime deterministic and shard-
-    /// count-invariant — and spreads synchronized retries apart.
-    #[test]
-    fn backoff_jitter_is_deterministic_and_spreads() {
-        let span = 10_000;
-        for flow in 0..32u32 {
-            for attempt in 0..8u32 {
-                let a = backoff_jitter(flow, attempt, span);
-                assert_eq!(a, backoff_jitter(flow, attempt, span));
-                assert!(a < span);
-            }
-        }
-        assert_eq!(backoff_jitter(7, 1, 0), 0, "zero span is a no-op");
-        // Synchronized producers draw distinct delays: over 64 flows at
-        // the same attempt, the draws must not collapse to a few values.
-        let distinct: std::collections::BTreeSet<u64> =
-            (0..64u32).map(|f| backoff_jitter(f, 1, span)).collect();
-        assert!(
-            distinct.len() > 48,
-            "only {} distinct draws",
-            distinct.len()
-        );
-    }
-
     /// Overloaded host (aggregate far above what per-flow pacing drains):
     /// closed-loop sources must see ECN marks and back off, and the books
     /// must balance with the new emitted/residue fields.
@@ -1423,9 +1007,7 @@ mod tests {
         });
         // 8× overload: sources at full scale offer one packet per 1/8 of
         // the shaped pacing gap.
-        let per_flow_bps = cfg.host.aggregate.as_bps() / cfg.host.flows as u64;
-        let pacing_gap = 1_500 * 8 * 1_000_000_000 / per_flow_bps;
-        cfg.offered_gap = Some(pacing_gap / 8);
+        cfg.offered_gap = Some(cfg.host.pacing_gap() / 8);
         let r = run_sharded(|_| EiffelQdisc::new(20_000, 100_000), &cfg);
         let cl = r.cl.expect("closed loop configured");
         assert!(r.ecn_marked > 0, "overload must mark");
@@ -1450,7 +1032,6 @@ mod tests {
     /// can never exceed the budget (`try_charge` refuses first).
     #[test]
     fn mem_budget_degrades_gracefully_and_never_overruns() {
-        use eiffel_core::DegradeTier;
         let mut host = small_host(4);
         host.tsq_budget = 8;
         let mut cfg = ShardedConfig::new(2, host);

@@ -4,8 +4,9 @@
 //! [`crate::sharded`] proved the N-shard host *semantically* equal to the
 //! single-shard host — but under one virtual clock on one OS thread, which
 //! cannot measure the paper's headline systems claim (§5.1, Fig 9: Eiffel
-//! shapes 20k flows with ~1/20 the cores FQ needs). This module runs the
-//! same shards as real threads:
+//! shapes 20k flows with ~1/20 the cores FQ needs). This module is the
+//! **wall-clock driver** of the same pipeline (DESIGN.md, "One source
+//! model + one stage body, two drivers"):
 //!
 //! ```text
 //!             data ring (SPSC, Packet)          ┌───────────────┐
@@ -14,27 +15,25 @@
 //! ┌──────┴─┐ ─────────────────────────────▶     │  + CpuMeter    │  │
 //! │producer│                                    └───────────────┘  │
 //! │ /demux │   ◀─────────────────────────────────────────────────  │
-//! └──────┬─┘    completion ring (SPSC, FlowId)                     ▼
+//! └──────┬─┘    completion ring (SPSC, Completion)                 ▼
 //!        │                                       CounterBlock (stats,
 //!        └──▶ … shard thread N-1                 read without locks)
 //! ```
 //!
-//! * The **producer/demux thread** plays the application + TCP stack: it
-//!   paces flow start-up, enforces the TSQ budget, hashes each packet to
-//!   its home shard with [`eiffel_sim::shard_of`], and pushes it into that
-//!   shard's data ring ([`eiffel_core::ring::SpscRing`]).
+//! * The **producer/demux thread** asks the source model
+//!   (`FlowSource`, `source.rs`) which flows may emit, hashes each
+//!   packet to its home shard with [`eiffel_sim::shard_of`], and pushes it
+//!   into that shard's data ring ([`eiffel_core::ring::SpscRing`]). What it
+//!   owns itself is the wall clock's wake-up machinery: a ready queue, a
+//!   timed-retry heap, a parked list for refused set-ups, the watchdog and
+//!   its failover.
 //! * Each **shard thread** owns one qdisc instance and one softirq timer,
-//!   and runs *the same stage code* (`Shard::ingress`, `Shard::softirq`,
-//!   `Shard::tighten_timer`, `Shard::rearm`) that [`crate::sharded`]'s
-//!   event loop drives under the virtual clock — the two runtimes share one
-//!   body and cannot drift. The event axis here is the wall clock
-//!   (nanoseconds since run start), polled instead of popped from a heap.
+//!   and runs the `Shard` stage body the virtual clock runs too; its event
+//!   axis is the wall clock (nanoseconds since run start), polled instead
+//!   of popped from a heap.
 //! * **Completions** flow back over a second SPSC ring: one [`Completion`]
-//!   per disposed packet, returning TSQ budget to the producer — the TSQ
-//!   callback, as a message. The completion carries the packet's fate
-//!   (delivered, delivered-with-ECN-mark, dropped), which is the feedback
-//!   edge of the closed loop: ECN-reactive transports
-//!   ([`eiffel_workloads::ClosedLoopSource`]) read it and pace themselves.
+//!   per disposed packet, carrying its fate ([`CompletionKind`]) — the TSQ
+//!   callback and the ACK's ECE bit, as a message.
 //! * The **control plane** is a third, cold ring: the producer sends
 //!   [`CtrlMsg::Shutdown`] (drain for finite workloads, immediate for timed
 //!   runs); config travels by value at spawn time.
@@ -50,29 +49,25 @@
 //!
 //! Determinism: wall-clock runs cannot reproduce release *times*, so the
 //! equivalence suite uses **finite workloads** ([`ThreadedConfig::finite`]):
-//! every flow emits exactly `pkts_per_flow` packets and the run ends when
-//! the qdiscs drain. The per-flow packet/byte/drop totals are then
-//! time-free invariants, identical to a [`crate::sharded`] run of the same
-//! workload — so the virtual-clock proptests keep guarding the threaded
-//! path.
+//! the per-flow packet/byte/drop totals are then time-free invariants,
+//! identical to a [`crate::sharded`] run of the same workload — so the
+//! virtual-clock proptests keep guarding the threaded path.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{fence, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use eiffel_chaos::{AdmitPolicy, ChaosConfig, ShardFaults};
+use eiffel_chaos::{AdmitPolicy, ShardFaults};
 use eiffel_core::ring::{SpscConsumer, SpscProducer, SpscRing};
-use eiffel_core::{CounterBlock, DegradeTier, MemBudget, FLOW_SETUP_BYTES, PKT_SLAB_BYTES};
-use eiffel_sim::{shard_of, CpuCategory, CpuMeter, FlowId, Nanos, Packet, WallNanos, SECOND};
-use eiffel_workloads::{
-    summarize_closed_loop, ClosedLoopParams, ClosedLoopSource, ClosedLoopSummary,
-};
+use eiffel_core::{CounterBlock, DegradeTier, MemBudget};
+use eiffel_sim::{shard_of, CpuCategory, CpuMeter, FlowId, Nanos, Packet, WallNanos};
+use eiffel_workloads::ClosedLoopSummary;
 
-use crate::host::HostConfig;
+use crate::host::RunConfig;
 use crate::qdisc::ShaperQdisc;
-use crate::sharded::{backoff_jitter, IngressVerdict, Shard, ShardStats};
+use crate::sharded::{IngressVerdict, Shard, ShardStats};
+use crate::source::{release_slabs, tier_of, Credit, FlowSource, Offer};
 
 /// Counter slots published by each shard thread (single writer each).
 const C_TRANSMITTED: usize = 0;
@@ -90,9 +85,10 @@ const C_DISPOSED: usize = 5;
 /// One shard's live statistics block.
 type ShardCounters = CounterBlock<6>;
 
-/// What happened to one disposed packet, echoed to the producer on the
-/// completion ring. This is the only feedback channel a source has — on
-/// real hardware it is the ACK (with its ECE bit) coming back.
+/// What happened to one disposed packet — the one disposal vocabulary of
+/// both clocks. On the wall clock it is echoed to the producer on the
+/// completion ring, the only feedback channel a source has (on real
+/// hardware: the ACK, with its ECE bit).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CompletionKind {
     /// Transmitted, no congestion signal.
@@ -103,6 +99,17 @@ pub enum CompletionKind {
     /// Refused by admission or evicted to make room: the skb is freed (so
     /// the TSQ budget returns) and the transport sees a loss.
     Dropped,
+}
+
+impl CompletionKind {
+    /// The fate of a transmitted packet, given its ECN bit.
+    pub(crate) fn delivered(marked: bool) -> Self {
+        if marked {
+            CompletionKind::DeliveredMarked
+        } else {
+            CompletionKind::Delivered
+        }
+    }
 }
 
 /// One completion-ring message: which flow, and what happened.
@@ -126,109 +133,14 @@ pub enum CtrlMsg {
     },
 }
 
-/// Parameters of a threaded run.
-///
-/// Reuses [`HostConfig`] for the workload shape (`flows`, `aggregate`,
-/// `tsq_budget`, `batch`, `bin`), with one deliberate difference:
-/// **`host.duration` is ignored** — a threaded run is bounded by
-/// [`wall_limit`](Self::wall_limit) real nanoseconds (and, for finite
+/// Parameters of a threaded run: the one [`RunConfig`], read on the wall
+/// clock — **`host.duration` is ignored**; the run is bounded by
+/// [`wall_limit`](RunConfig::wall_limit) real nanoseconds (and, for finite
 /// workloads, usually ends earlier by draining).
-#[derive(Debug, Clone)]
-pub struct ThreadedConfig {
-    /// OS threads / qdisc instances. Flows are split by
-    /// [`eiffel_sim::shard_of`], exactly as in the simulated host.
-    pub shards: usize,
-    /// Workload shape (see type-level docs: `duration` is ignored).
-    pub host: HostConfig,
-    /// Per-flow in-qdisc packet cap, as in
-    /// [`crate::sharded::ShardedConfig::flow_cap`]. Note drop *counts* under
-    /// a cap are scheduling-dependent on real threads (a completion may or
-    /// may not beat the retry), so the equivalence suite leaves this off.
-    pub flow_cap: Option<u32>,
-    /// Finite workload: each flow emits exactly this many packets and the
-    /// run ends when the qdiscs drain. `None` = continuously backlogged
-    /// until `wall_limit`.
-    pub pkts_per_flow: Option<u64>,
-    /// Hard wall-clock bound on the run. For timed runs this *is* the
-    /// duration; for finite workloads it is a safety net (the report's
-    /// [`ThreadedReport::timed_out`] flags it firing).
-    pub wall_limit: WallNanos,
-    /// Capacity of each data ring (completion rings match).
-    pub ring_capacity: usize,
-    /// Per-flow packet-count overrides (heavy-tailed workloads), as in
-    /// [`crate::sharded::ShardedConfig::pkts_override`]. Any override makes
-    /// the run finite.
-    pub pkts_override: Option<Vec<u64>>,
-    /// Per-flow first-emission wall times (incast waves). Must be
-    /// nondecreasing in flow id — the producer starts flows by walking the
-    /// schedule in order. `None` = smooth stagger over one pacing gap.
-    pub starts: Option<Vec<Nanos>>,
-    /// Fault plan, admission policy, and watchdog. The default is a no-op.
-    pub chaos: ChaosConfig,
-    /// ECN-reactive closed-loop sources: each flow runs a DCTCP-style
-    /// estimator over the mark fraction echoed on its completions and
-    /// paces its own emissions. `None` = the historical open loop (bulk
-    /// senders gated only by TSQ).
-    pub closed_loop: Option<ClosedLoopParams>,
-    /// Memory-budget accountant shared by the producer (flow setup and
-    /// per-packet slab charges) and the shard threads (tier lookups and
-    /// slab releases). `None` = unbounded, the historical behavior.
-    pub mem: Option<Arc<MemBudget>>,
-    /// Source-side emission gap, decoupled from the shard-side shaping
-    /// rate (which stays `host.aggregate / host.flows`). Mirrors
-    /// [`crate::sharded::ShardedConfig::offered_gap`]: a gap smaller than
-    /// the shaped per-flow gap means sustained overload of a
-    /// fixed-capacity drain. Applies to the flow-start stagger and to
-    /// closed-loop pacing (open-loop senders are TSQ-gated bulk emitters
-    /// either way). `None` = offered rate equals the shaped rate.
-    pub offered_gap: Option<Nanos>,
-}
-
-impl ThreadedConfig {
-    /// A timed run: flows stay backlogged, the run stops at `wall_limit`.
-    pub fn timed(shards: usize, host: HostConfig, wall_limit: WallNanos) -> Self {
-        ThreadedConfig {
-            shards,
-            host,
-            flow_cap: None,
-            pkts_per_flow: None,
-            wall_limit,
-            ring_capacity: 4_096,
-            pkts_override: None,
-            starts: None,
-            chaos: ChaosConfig::default(),
-            closed_loop: None,
-            mem: None,
-            offered_gap: None,
-        }
-    }
-
-    /// A finite run: every flow emits exactly `pkts_per_flow` packets, the
-    /// run ends by draining. The wall limit is a generous multiple of the
-    /// ideal pacing schedule so a healthy run never hits it.
-    pub fn finite(shards: usize, host: HostConfig, pkts_per_flow: u64) -> Self {
-        let per_flow_bps = (host.aggregate.as_bps() / host.flows.max(1) as u64).max(1);
-        let pacing_gap = 1_500 * 8 * 1_000_000_000 / per_flow_bps;
-        let ideal = pacing_gap * (pkts_per_flow + host.tsq_budget as u64 + 2);
-        ThreadedConfig {
-            shards,
-            host,
-            flow_cap: None,
-            pkts_per_flow: Some(pkts_per_flow),
-            wall_limit: WallNanos(ideal.saturating_mul(4) + 2 * SECOND),
-            ring_capacity: 4_096,
-            pkts_override: None,
-            starts: None,
-            chaos: ChaosConfig::default(),
-            closed_loop: None,
-            mem: None,
-            offered_gap: None,
-        }
-    }
-}
+pub type ThreadedConfig = RunConfig;
 
 /// Fault-handling outcome of a threaded run — all zeros for a no-op
-/// [`ChaosConfig`].
+/// [`ChaosConfig`](eiffel_chaos::ChaosConfig).
 #[derive(Debug, Clone, Default)]
 pub struct ChaosReport {
     /// Arrivals refused by the admission policy at the qdiscs.
@@ -406,10 +318,10 @@ fn run_inner<Q: ShaperQdisc + Send>(
     cfg: &ThreadedConfig,
     want_trace: bool,
 ) -> (ThreadedReport, ThreadedTrace) {
+    cfg.validate();
     let n = cfg.shards.max(1);
     let host = &cfg.host;
-    assert!(host.flows > 0, "threaded host needs at least one flow");
-    let per_flow_bps = (host.aggregate.as_bps() / host.flows as u64).max(1);
+    let per_flow_bps = host.per_flow_bps();
     let batch = host.batch.max(1);
     let ring_cap = cfg.ring_capacity.max(1);
 
@@ -449,15 +361,17 @@ fn run_inner<Q: ShaperQdisc + Send>(
         shards_init[h as usize].flows += 1;
     }
 
-    // Per-shard fault schedules, compiled once; workers get a clone, the
-    // producer keeps the set (for ring squeezes and the watchdog).
+    // Per-shard fault schedules, compiled once and shared: each worker
+    // reads its own, the producer all of them (ring squeezes).
     let faults: Vec<ShardFaults> = (0..n).map(|i| cfg.chaos.plan.compile(i)).collect();
     let admit = cfg.chaos.admit;
+    let mem = cfg.mem.as_deref();
 
-    // Per-flow producer state comes first: at the largest flow counts it
-    // is a multi-hundred-MB allocation whose first-touch cost must not be
-    // billed against the wall the shards and sources share.
-    let mut pstate = ProducerState::build(cfg);
+    // The per-flow source tables come before the clock starts: at 10 M
+    // flows they are on the order of a gigabyte of first-touch memory,
+    // which must not be billed against the wall the shards and sources
+    // share. This clock staggers first emissions over one *offered* gap.
+    let mut src = FlowSource::new(cfg, cfg.emit_gap());
 
     let start = Instant::now();
     let mut outcomes: Vec<ShardOutcome<Q>> = Vec::with_capacity(n);
@@ -469,10 +383,14 @@ fn run_inner<Q: ShaperQdisc + Send>(
         for (i, shard) in shards_init.into_iter().enumerate().rev() {
             let data = data_rx.pop().expect("one data ring per shard");
             let ctrl = ctrl_rx.pop().expect("one ctrl ring per shard");
-            let comp = comp_tx.pop().expect("one completion ring per shard");
+            let comp = CompletionTx {
+                ring: comp_tx.pop().expect("one completion ring per shard"),
+                faults: &faults[i],
+                mem,
+                seq: 0,
+                lost: 0,
+            };
             let stats = &counters[i];
-            let shard_faults = faults[i].clone();
-            let shard_mem = cfg.mem.clone();
             handles.push(s.spawn(move || {
                 shard_worker(
                     shard,
@@ -483,9 +401,7 @@ fn run_inner<Q: ShaperQdisc + Send>(
                     start,
                     per_flow_bps,
                     batch,
-                    shard_faults,
                     admit,
-                    shard_mem,
                     want_trace,
                 )
             }));
@@ -494,9 +410,8 @@ fn run_inner<Q: ShaperQdisc + Send>(
 
         producer_out = producer_loop(
             cfg,
-            &mut pstate,
+            &mut src,
             &home,
-            per_flow_bps,
             start,
             &mut data_tx,
             &mut ctrl_tx,
@@ -520,34 +435,28 @@ fn run_inner<Q: ShaperQdisc + Send>(
     });
     let wall_elapsed = WallNanos::from_duration(start.elapsed());
 
+    // Exact conservation at join: the producer stopped before the shards
+    // exited (the control push synchronizes the rings), so every emitted
+    // packet is in exactly one bucket below. Timed runs end mid-flight by
+    // design: what is still in rings and qdiscs, and every flow still
+    // established, hands its memory charge back here.
+    let disposed: u64 = outcomes
+        .iter()
+        .map(|o| o.shard.transmitted + o.shard.admission_dropped + o.shard.evicted)
+        .sum();
+    let qdisc_residue: u64 = outcomes.iter().map(|o| o.shard.qdisc.len() as u64).sum();
+    let ring_residue: u64 = outcomes.iter().map(|o| o.ring_residue).sum();
+    src.close_books(qdisc_residue + ring_residue);
+
     // Exact totals from the joined shards; the counter blocks only served
     // live readers during the run.
-    let name = outcomes[0].shard.qdisc.name();
     let per_shard: Vec<ShardStats> = outcomes
-        .iter()
-        .enumerate()
-        .map(|(i, o)| {
-            let secs = WallNanos(o.final_now).as_secs_f64().max(1e-9);
-            ShardStats {
-                flows: o.shard.flows,
-                transmitted: o.shard.transmitted,
-                achieved_bps: o.shard.tx_bytes as f64 * 8.0 / secs,
-                dropped: producer_out.dropped_per_shard[i],
-                timer_fires: o.shard.timer_fires,
-                median_cores: o.shard.meter.median_cores(),
-                peak_backlog: o.shard.peak_backlog,
-                admission_dropped: o.shard.admission_dropped,
-                ecn_marked: o.shard.ecn_marked,
-                evicted: o.shard.evicted,
-                mean_latency_ns: if o.shard.transmitted > 0 {
-                    o.shard.lat_sum_ns as f64 / o.shard.transmitted as f64
-                } else {
-                    0.0
-                },
-                max_latency_ns: o.shard.lat_max_ns,
-                tiers: o.shard.tiers,
-                sojourn: o.shard.sojourn.clone(),
-            }
+        .iter_mut()
+        .zip(&producer_out.dropped_per_shard)
+        .map(|(o, &cap_drops)| {
+            o.shard.dropped = cap_drops;
+            o.shard
+                .stats(WallNanos(o.final_now).as_secs_f64().max(1e-9))
         })
         .collect();
     // Whole-machine breakdown: shard meters share the bin geometry, so
@@ -565,36 +474,26 @@ fn run_inner<Q: ShaperQdisc + Send>(
             acc.1 += irq;
         }
     }
-    // Exact conservation at join: the producer stopped before the shards
-    // exited (the control push synchronizes the rings), so every emitted
-    // packet is in exactly one bucket below.
-    let disposed: u64 = outcomes
-        .iter()
-        .map(|o| o.shard.transmitted + o.shard.admission_dropped + o.shard.evicted)
-        .sum();
-    let qdisc_residue: u64 = outcomes.iter().map(|o| o.shard.qdisc.len() as u64).sum();
-    let ring_residue: u64 = outcomes.iter().map(|o| o.ring_residue).sum();
     let chaos = ChaosReport {
-        admission_dropped: outcomes.iter().map(|o| o.shard.admission_dropped).sum(),
-        ecn_marked: outcomes.iter().map(|o| o.shard.ecn_marked).sum(),
-        evicted: outcomes.iter().map(|o| o.shard.evicted).sum(),
+        admission_dropped: per_shard.iter().map(|s| s.admission_dropped).sum(),
+        ecn_marked: per_shard.iter().map(|s| s.ecn_marked).sum(),
+        evicted: per_shard.iter().map(|s| s.evicted).sum(),
         completions_lost: outcomes.iter().map(|o| o.completions_lost).sum(),
         completions_recovered: producer_out.completions_recovered,
         redirected: producer_out.redirected,
         stalls_detected: producer_out.stalls_detected,
         recoveries: producer_out.recoveries,
         ring_residue,
-        final_unaccounted: producer_out.emitted as i64
-            - (disposed + qdisc_residue + ring_residue) as i64,
+        final_unaccounted: src.emitted() as i64 - (disposed + qdisc_residue + ring_residue) as i64,
     };
     debug_assert_eq!(
         chaos.final_unaccounted, 0,
         "threaded packet conservation violated"
     );
     let report = ThreadedReport {
-        name,
+        name: outcomes[0].shard.qdisc.name(),
         transmitted: per_shard.iter().map(|s| s.transmitted).sum(),
-        emitted: producer_out.emitted,
+        emitted: src.emitted(),
         achieved_bps: {
             let bytes: u64 = outcomes.iter().map(|o| o.shard.tx_bytes).sum();
             bytes as f64 * 8.0 / wall_elapsed.as_secs_f64().max(1e-9)
@@ -607,10 +506,10 @@ fn run_inner<Q: ShaperQdisc + Send>(
         wall_elapsed,
         ring_full_retries: producer_out.ring_full_retries,
         timed_out: producer_out.timed_out,
-        setup_refused: producer_out.setup_refused,
-        mem_deferrals: producer_out.mem_deferrals,
+        setup_refused: src.setup_refused,
+        mem_deferrals: src.mem_deferrals,
         mem_peak_bytes: cfg.mem.as_ref().map_or(0, |m| m.peak()),
-        cl: producer_out.cl.take(),
+        cl: src.summary(),
         chaos,
         per_shard,
     };
@@ -621,64 +520,64 @@ fn run_inner<Q: ShaperQdisc + Send>(
     (report, trace)
 }
 
-/// One completion per disposed packet (transmitted, admission-dropped, or
-/// evicted) — unless the fault plan loses it on the wire. The push blocks
-/// spin-then-yield; the producer always drains completion rings.
-fn send_completion(
-    comp: &mut SpscProducer<Completion>,
-    faults: &ShardFaults,
-    now: Nanos,
-    comp_seq: &mut u64,
-    lost: &mut u64,
-    c: Completion,
-) {
-    let seq = *comp_seq;
-    *comp_seq += 1;
-    if faults.lose_completion(now, seq) {
-        *lost += 1;
-        return;
-    }
-    let mut c = c;
-    loop {
-        match comp.push(c) {
-            Ok(()) => break,
-            Err(back) => {
-                c = back;
-                std::thread::yield_now();
-            }
+/// A shard's end of its completion ring.
+struct CompletionTx<'a> {
+    ring: SpscProducer<Completion>,
+    faults: &'a ShardFaults,
+    mem: Option<&'a MemBudget>,
+    seq: u64,
+    /// Completions the fault plan dropped.
+    lost: u64,
+}
+
+impl CompletionTx<'_> {
+    /// A packet of `flow` left this shard (transmitted, refused, or
+    /// evicted). Its slab frees here — memory returns when the packet
+    /// leaves, whatever happens to the message — and the source is owed
+    /// one completion, unless the fault plan loses it on the wire. The
+    /// push blocks spin-then-yield; the producer always drains the ring.
+    fn dispose(&mut self, now: Nanos, flow: FlowId, kind: CompletionKind) {
+        release_slabs(self.mem, 1);
+        let seq = self.seq;
+        self.seq += 1;
+        if self.faults.lose_completion(now, seq) {
+            self.lost += 1;
+            return;
+        }
+        let mut c = Completion { flow, kind };
+        while let Err(back) = self.ring.push(c) {
+            c = back;
+            std::thread::yield_now();
         }
     }
 }
 
 /// One shard thread: poll the rings and the wall clock, run the shared
 /// pipeline stages. No locks; the only blocking is pushing completions
-/// into a full ring (spin-then-yield — the producer always drains it).
+/// into a full ring.
 #[allow(clippy::too_many_arguments)]
 fn shard_worker<Q: ShaperQdisc>(
     mut shard: Shard<Q>,
     mut data: SpscConsumer<Packet>,
     mut ctrl: SpscConsumer<CtrlMsg>,
-    mut comp: SpscProducer<Completion>,
+    mut comp: CompletionTx<'_>,
     stats: &ShardCounters,
     start: Instant,
     per_flow_bps: u64,
     batch: usize,
-    faults: ShardFaults,
     admit: AdmitPolicy,
-    mem: Option<Arc<MemBudget>>,
     want_trace: bool,
 ) -> ShardOutcome<Q> {
     const INGRESS_BURST: usize = 64;
+    let faults = comp.faults;
     let mut releases = Vec::new();
-    let mut drained: Vec<Packet> = Vec::with_capacity(batch.max(1));
+    let mut drained: Vec<Packet> = Vec::with_capacity(batch);
     let mut enqueued = 0u64;
     let mut draining = false;
     let mut idle = 0u32;
     // Jitter of the currently armed timer fire (keyed on the epoch so the
     // virtual-clock runtime draws the identical delay).
     let mut jitter: Nanos = 0;
-    let mut comp_seq = 0u64;
-    let mut completions_lost = 0u64;
     let final_now;
     loop {
         let now = start.elapsed().as_nanos() as Nanos;
@@ -690,12 +589,11 @@ fn shard_worker<Q: ShaperQdisc>(
             Some(CtrlMsg::Shutdown { drain: true }) => draining = true,
             None => {}
         }
-        if faults.stalled(now) {
+        if let Some(until) = faults.stall_until(now) {
             // Paused core: no heartbeat, no ingress, no softirq — the
             // watchdog sees the heartbeat freeze while producers fill this
             // shard's ring. Sleep in short slices so the control plane
             // stays responsive.
-            let until = faults.stall_until(now).expect("stalled => end");
             let remaining = until.saturating_sub(now);
             std::thread::sleep(Duration::from_nanos(remaining.min(100_000)));
             continue;
@@ -706,45 +604,15 @@ fn shard_worker<Q: ShaperQdisc>(
         // Ingress: a burst of arrivals from the data ring, each through
         // admission (tightened by the memory budget's current degradation
         // tier). Refused arrivals and evicted victims owe the producer a
-        // completion too — the kernel frees the skb either way — and every
-        // disposal returns its slab charge to the budget.
+        // completion too — the kernel frees the skb either way.
         for _ in 0..INGRESS_BURST {
             let Some(pkt) = data.pop() else { break };
             let flow = pkt.flow;
-            let tier = mem.as_deref().map_or(DegradeTier::Normal, |m| m.tier());
-            match shard.ingress(now, pkt, per_flow_bps, &admit, tier) {
+            match shard.ingress(now, pkt, per_flow_bps, &admit, tier_of(comp.mem)) {
                 IngressVerdict::Queued | IngressVerdict::Marked => {}
-                IngressVerdict::DroppedArrival => {
-                    if let Some(m) = mem.as_deref() {
-                        m.release(PKT_SLAB_BYTES);
-                    }
-                    send_completion(
-                        &mut comp,
-                        &faults,
-                        now,
-                        &mut comp_seq,
-                        &mut completions_lost,
-                        Completion {
-                            flow,
-                            kind: CompletionKind::Dropped,
-                        },
-                    )
-                }
+                IngressVerdict::DroppedArrival => comp.dispose(now, flow, CompletionKind::Dropped),
                 IngressVerdict::Evicted(victim) => {
-                    if let Some(m) = mem.as_deref() {
-                        m.release(PKT_SLAB_BYTES);
-                    }
-                    send_completion(
-                        &mut comp,
-                        &faults,
-                        now,
-                        &mut comp_seq,
-                        &mut completions_lost,
-                        Completion {
-                            flow: victim.flow,
-                            kind: CompletionKind::Dropped,
-                        },
-                    )
+                    comp.dispose(now, victim.flow, CompletionKind::Dropped)
                 }
             }
             if let Some(want) = shard.tighten_timer(now) {
@@ -779,24 +647,7 @@ fn shard_worker<Q: ShaperQdisc>(
                 if want_trace {
                     releases.push((WallNanos(now), p.flow, p.id, p.bytes));
                 }
-                if let Some(m) = mem.as_deref() {
-                    m.release(PKT_SLAB_BYTES);
-                }
-                send_completion(
-                    &mut comp,
-                    &faults,
-                    now,
-                    &mut comp_seq,
-                    &mut completions_lost,
-                    Completion {
-                        flow: p.flow,
-                        kind: if p.ecn {
-                            CompletionKind::DeliveredMarked
-                        } else {
-                            CompletionKind::Delivered
-                        },
-                    },
-                );
+                comp.dispose(now, p.flow, CompletionKind::delivered(p.ecn));
             }
             if let Some(want) = shard.rearm(now) {
                 jitter = faults.timer_extra_delay(want, shard.timer_epoch());
@@ -832,15 +683,6 @@ fn shard_worker<Q: ShaperQdisc>(
     let mut ring_residue = 0u64;
     while data.pop().is_some() {
         ring_residue += 1;
-        if let Some(m) = mem.as_deref() {
-            m.release(PKT_SLAB_BYTES);
-        }
-    }
-    if let Some(m) = mem.as_deref() {
-        // Packets still resident in the qdisc at a timed shutdown hold
-        // slab charges; the run is over, so give them back — the budget's
-        // books close at zero.
-        m.release(PKT_SLAB_BYTES.saturating_mul(shard.qdisc.len() as u64));
     }
     stats.set(C_TRANSMITTED, shard.transmitted);
     stats.set(C_TX_BYTES, shard.tx_bytes);
@@ -851,7 +693,7 @@ fn shard_worker<Q: ShaperQdisc>(
         releases,
         final_now,
         ring_residue,
-        completions_lost,
+        completions_lost: comp.lost,
     }
 }
 
@@ -868,10 +710,10 @@ fn publish_disposed<Q: ShaperQdisc>(stats: &ShardCounters, shard: &Shard<Q>) {
     );
 }
 
-/// What the producer loop hands back.
+/// What the producer loop hands back (the source model keeps its own
+/// counts).
 #[derive(Debug, Default)]
 struct ProducerOutcome {
-    emitted: u64,
     ring_full_retries: u64,
     timed_out: bool,
     dropped_per_shard: Vec<u64>,
@@ -880,129 +722,67 @@ struct ProducerOutcome {
     stalls_detected: u64,
     recoveries: u64,
     completions_recovered: u64,
-    setup_refused: u64,
-    mem_deferrals: u64,
-    cl: Option<ClosedLoopSummary>,
 }
 
-/// Per-flow producer state (the application + TCP-stack model).
-struct FlowState {
-    budget: u32,
-    inflight: u32,
-    sent: u64,
-    arrivals: u64,
-    /// Already sitting in the ready queue (dedup so the deque stays
-    /// bounded by the flow count).
-    queued: bool,
-    /// Consecutive ring-full deferrals (exponential-backoff exponent,
-    /// capped; reset on a successful emission).
-    backoff: u8,
-    /// Retry attempts so far — the per-flow jitter key.
-    retry_seq: u32,
-    /// Flow setup charged against the memory budget (always true without
-    /// one).
-    established: bool,
-    /// Setup charge already released (finite flow fully drained).
-    freed: bool,
-    /// Earliest next emission (closed-loop pacing; 0 in open loop).
-    next_allowed: Nanos,
+/// Runnable flows, each queued at most once (so the deque stays bounded by
+/// the flow count).
+struct Ready {
+    queue: VecDeque<FlowId>,
+    queued: Vec<bool>,
 }
 
-/// Returns one TSQ budget to `flow` — from a completion, or from the
-/// watchdog's loss reconciliation. The `inflight == 0` guard makes refunds
-/// exact per flow even when reconciliation guessed and the real completion
-/// arrives later: a flow never receives more refunds than it had packets
-/// in flight. Under a memory budget, the last refund of a fully drained
-/// finite flow also tears the flow down, releasing its setup charge —
-/// the churn that keeps the active flow set bounded.
-fn credit_flow(
-    fs: &mut [FlowState],
-    flow: FlowId,
-    limits: &[u64],
-    ready: &mut VecDeque<FlowId>,
-    mem: Option<&MemBudget>,
+impl Ready {
+    fn push(&mut self, flow: FlowId) {
+        if !std::mem::replace(&mut self.queued[flow as usize], true) {
+            self.queue.push_back(flow);
+        }
+    }
+
+    fn pop(&mut self) -> Option<FlowId> {
+        let flow = self.queue.pop_front()?;
+        self.queued[flow as usize] = false;
+        Some(flow)
+    }
+
+    /// Applies a credit outcome — a woken flow becomes runnable — and says
+    /// whether the credit was accepted.
+    fn credited(&mut self, flow: FlowId, credit: Credit) -> bool {
+        if credit == Credit::Wake {
+            self.push(flow);
+        }
+        credit != Credit::Rejected
+    }
+}
+
+/// Pops every completion waiting on `rx` into the source model, counting
+/// the accepted ones into `credited`. A rejected credit is the real
+/// completion of a disposal the watchdog's reconciliation already
+/// pre-refunded — that disposal was counted then, so counting the pop too
+/// would double-credit it and hide a genuinely lost completion forever.
+fn drain_completions(
+    rx: &mut SpscConsumer<Completion>,
+    src: &mut FlowSource<'_>,
+    ready: &mut Ready,
+    credited: &mut u64,
 ) -> bool {
-    let f = &mut fs[flow as usize];
-    if f.inflight == 0 {
-        return false; // already reconciled by the watchdog
-    }
-    f.inflight -= 1;
-    f.budget += 1;
-    let lim = limits[flow as usize];
-    if !f.queued && f.sent < lim {
-        f.queued = true;
-        ready.push_back(flow);
-    }
-    if let Some(m) = mem {
-        if f.established && !f.freed && lim != u64::MAX && f.sent >= lim && f.inflight == 0 {
-            f.freed = true;
-            m.release(FLOW_SETUP_BYTES);
+    let mut any = false;
+    while let Some(c) = rx.pop() {
+        if ready.credited(c.flow, src.complete(c.flow, c.kind)) {
+            *credited += 1;
         }
+        any = true;
     }
-    true
-}
-
-/// Producer per-flow state, allocated *before* the wall clock starts.
-///
-/// At 10 M flows these vectors are on the order of a gigabyte of
-/// first-touch memory — on a small box that alone can take seconds.
-/// Building them inside the timed region would silently shorten (or, at
-/// the largest grid points, entirely consume) the measured wall, so
-/// `run_inner` constructs this up front and only then takes `start`.
-struct ProducerState {
-    /// Per-flow packet limit (`u64::MAX` = unbounded timed flow).
-    limits: Vec<u64>,
-    /// Closed-loop transports, one per flow (empty in open loop).
-    cl: Vec<ClosedLoopSource>,
-    fs: Vec<FlowState>,
-    ready: VecDeque<FlowId>,
-}
-
-impl ProducerState {
-    fn build(cfg: &ThreadedConfig) -> Self {
-        let flows = cfg.host.flows;
-        let limits: Vec<u64> = match &cfg.pkts_override {
-            Some(v) => {
-                assert_eq!(v.len(), flows, "pkts_override length");
-                v.clone()
-            }
-            None => vec![cfg.pkts_per_flow.unwrap_or(u64::MAX); flows],
-        };
-        let cl: Vec<ClosedLoopSource> = match &cfg.closed_loop {
-            Some(p) => vec![ClosedLoopSource::new(p); flows],
-            None => Vec::new(),
-        };
-        let fs: Vec<FlowState> = (0..flows)
-            .map(|_| FlowState {
-                budget: cfg.host.tsq_budget.max(1),
-                inflight: 0,
-                sent: 0,
-                arrivals: 0,
-                queued: false,
-                backoff: 0,
-                retry_seq: 0,
-                established: cfg.mem.is_none(),
-                freed: false,
-                next_allowed: 0,
-            })
-            .collect();
-        ProducerState {
-            limits,
-            cl,
-            fs,
-            ready: VecDeque::with_capacity(flows),
-        }
-    }
+    any
 }
 
 /// The producer/demux thread body (runs on the caller's thread while the
-/// shard threads live in the scope).
+/// shard threads live in the scope): the wall clock's wake-up machinery
+/// around the source model.
 #[allow(clippy::too_many_arguments)]
 fn producer_loop(
     cfg: &ThreadedConfig,
-    state: &mut ProducerState,
+    src: &mut FlowSource<'_>,
     home: &[u32],
-    per_flow_bps: u64,
     start: Instant,
     data_tx: &mut [SpscProducer<Packet>],
     ctrl_tx: &mut [SpscProducer<CtrlMsg>],
@@ -1016,56 +796,34 @@ fn producer_loop(
     /// `BACKOFF_BASE_NS << BACKOFF_MAX_EXP` (≈ 640 µs).
     const BACKOFF_BASE_NS: Nanos = 10_000;
     const BACKOFF_MAX_EXP: u8 = 6;
-    let host = &cfg.host;
-    let flows = host.flows;
+    const UNPARK_BURST: usize = 256;
+    let flows = cfg.host.flows;
     let n = data_tx.len();
-    let pacing_gap = 1_500 * 8 * 1_000_000_000 / per_flow_bps;
-    // Source-side gap: what a flow *offers*, vs `pacing_gap` — what the
-    // shard-side shaper *grants*. Equal unless the run models overload.
-    let offered_gap = cfg.offered_gap.unwrap_or(pacing_gap).max(1);
     let ring_cap = cfg.ring_capacity.max(1);
-    let ProducerState {
-        limits,
-        cl,
-        fs,
-        ready,
-    } = state;
-    let finite = cfg.pkts_per_flow.is_some() || cfg.pkts_override.is_some();
-    let flow_cap = cfg.flow_cap.map(|c| c.max(1));
     let wall_limit = cfg.wall_limit.as_nanos();
-    if let Some(st) = &cfg.starts {
-        assert_eq!(st.len(), flows, "starts length");
-        assert!(
-            st.windows(2).all(|w| w[0] <= w[1]),
-            "starts must be nondecreasing in flow id"
-        );
-    }
     let watchdog = cfg.chaos.watchdog;
-    let cl_params = cfg.closed_loop;
-    let mem = cfg.mem.as_deref();
 
     let mut out = ProducerOutcome {
         dropped_per_shard: vec![0; n],
         ..ProducerOutcome::default()
     };
-    // Cap-dropped and ring-deferred flows retry later, as in the simulation.
-    let mut retries: BinaryHeap<Reverse<(Nanos, FlowId)>> = BinaryHeap::new();
-    // Flows turned away at setup park here, off the hot path entirely: a
-    // timed retry at millions of refused flows would have the producer
-    // re-refusing the same setups all run — a livelock, not admission
-    // control. A bounded probe re-admits them once the refuse tier
-    // clears; established-flow churn (a drained finite flow releases its
-    // setup charge in `credit_flow`) is what makes the room.
-    let mut parked: VecDeque<FlowId> = VecDeque::new();
-    const UNPARK_BURST: usize = 256;
-    let mut started = 0usize; // flows staggered in over one pacing gap
-                              // Flows with a zero limit are born done.
-    let mut flows_done = if finite {
-        limits.iter().filter(|&&l| l == 0).count()
-    } else {
-        0
+    let mut ready = Ready {
+        queue: VecDeque::with_capacity(flows),
+        queued: vec![false; flows],
     };
-    let mut next_pkt_id = 0u64;
+    // Consecutive ring-full deferrals per flow (the exponential-backoff
+    // exponent; reset by a successful emission).
+    let mut backoff = vec![0u8; flows];
+    // Paced, cap-dropped and deferred flows come back at a set time.
+    let mut retries: BinaryHeap<Reverse<(Nanos, FlowId)>> = BinaryHeap::new();
+    // Wake-up policy of this clock: flows turned away at set-up park here,
+    // off the hot path entirely. A timed retry at millions of refused
+    // flows would have the producer re-refusing the same set-ups all run —
+    // a livelock, not admission control. A bounded probe re-admits them
+    // once the refuse tier clears; established-flow churn (a drained
+    // finite flow releases its set-up charge) is what makes the room.
+    let mut parked: VecDeque<FlowId> = VecDeque::new();
+    let mut started = 0usize; // flows whose first emission has come due
 
     // Watchdog state: which shards are currently believed alive, the
     // live-set failover list, and per-shard credited completions (popped +
@@ -1080,31 +838,9 @@ fn producer_loop(
         let mut worked = false;
 
         // TSQ completions: return budget, wake throttled flows, and feed
-        // the transport its congestion signal (the echoed ECN mark or the
-        // loss) — the closed loop closing. A rejected credit
-        // (`inflight == 0`) is the real completion of a disposal the
-        // reconciliation below already pre-refunded — that disposal was
-        // counted then, so counting the pop too would double-credit it and
-        // hide a genuinely lost completion forever. (The congestion signal
-        // is still genuine either way, so it is always delivered.)
-        for (s, rx) in comp_rx.iter_mut().enumerate() {
-            while let Some(c) = rx.pop() {
-                if let Some(p) = &cl_params {
-                    match c.kind {
-                        CompletionKind::Delivered => {
-                            cl[c.flow as usize].on_completion(p, false);
-                        }
-                        CompletionKind::DeliveredMarked => {
-                            cl[c.flow as usize].on_completion(p, true);
-                        }
-                        CompletionKind::Dropped => cl[c.flow as usize].on_loss(p),
-                    }
-                }
-                if credit_flow(fs, c.flow, limits, ready, mem) {
-                    credited[s] += 1;
-                }
-                worked = true;
-            }
+        // the transport its congestion signal — the closed loop closing.
+        for (rx, credited) in comp_rx.iter_mut().zip(&mut credited) {
+            worked |= drain_completions(rx, src, &mut ready, credited);
         }
 
         // Watchdog tick: stall detection via heartbeats, failover of the
@@ -1127,40 +863,24 @@ fn producer_loop(
                 // can only under-count losses, never invent them.
                 let disposed = counters[s].read(C_DISPOSED);
                 fence(Ordering::Acquire);
-                while let Some(c) = comp_rx[s].pop() {
-                    if let Some(p) = &cl_params {
-                        match c.kind {
-                            CompletionKind::Delivered => {
-                                cl[c.flow as usize].on_completion(p, false);
-                            }
-                            CompletionKind::DeliveredMarked => {
-                                cl[c.flow as usize].on_completion(p, true);
-                            }
-                            CompletionKind::Dropped => cl[c.flow as usize].on_loss(p),
-                        }
-                    }
-                    if credit_flow(fs, c.flow, limits, ready, mem) {
-                        credited[s] += 1;
-                    }
-                }
+                drain_completions(&mut comp_rx[s], src, &mut ready, &mut credited[s]);
                 let lost = disposed.saturating_sub(credited[s]);
                 if lost > 0 {
                     // Leaked TSQ budgets: completions vanished on the wire.
                     // Refund flows still holding inflight — starved flows
                     // (budget 0) first, socket-scan style. Per-flow
                     // attribution is best-effort; the aggregate is exact
-                    // and `credit_flow`'s guard keeps refunds ≤ inflight.
+                    // and the source's guard keeps refunds ≤ inflight.
                     let mut recovered = 0u64;
                     for pass in 0..2 {
-                        for f in 0..flows as u32 {
+                        for f in 0..flows as FlowId {
                             if recovered == lost {
                                 break;
                             }
-                            let starving = fs[f as usize].budget == 0;
-                            if (pass == 0 && !starving) || fs[f as usize].inflight == 0 {
+                            if (pass == 0 && !src.throttled(f)) || src.inflight(f) == 0 {
                                 continue;
                             }
-                            if credit_flow(fs, f, limits, ready, mem) {
+                            if ready.credited(f, src.credit(f)) {
                                 recovered += 1;
                             }
                         }
@@ -1174,92 +894,37 @@ fn producer_loop(
             worked = true;
         }
 
-        // Start flows: explicit schedule (incast waves), or staggered
-        // across one offered gap (same schedule as the simulated host:
-        // depends only on id and total flow count).
-        loop {
-            if started >= flows {
-                break;
-            }
-            let due = match &cfg.starts {
-                Some(st) => now >= st[started],
-                None => now >= offered_gap * started as u64 / flows as u64,
-            };
-            if !due {
-                break;
-            }
-            let flow = started as FlowId;
-            if !fs[started].queued {
-                fs[started].queued = true;
-                ready.push_back(flow);
-            }
+        // Start flows whose first emission has come due.
+        while started < flows && now >= src.start_at(started as FlowId) {
+            ready.push(started as FlowId);
             started += 1;
             worked = true;
         }
 
-        // Due retries from earlier cap drops and ring-full deferrals.
+        // Due timed retries.
         while let Some(&Reverse((at, flow))) = retries.peek() {
             if at > now {
                 break;
             }
             retries.pop();
-            let f = &mut fs[flow as usize];
-            if !f.queued {
-                f.queued = true;
-                ready.push_back(flow);
-            }
+            ready.push(flow);
             worked = true;
         }
 
         // Re-admit parked flows once the refuse tier clears — a bounded
         // burst per pass, so a tier flickering at the threshold costs
         // O(UNPARK_BURST), never a stampede of the whole parked set.
-        if !parked.is_empty() && mem.is_some_and(|m| m.tier() != DegradeTier::Refuse) {
-            for _ in 0..UNPARK_BURST {
-                let Some(flow) = parked.pop_front() else {
-                    break;
-                };
-                let f = &mut fs[flow as usize];
-                if !f.queued {
-                    f.queued = true;
-                    ready.push_back(flow);
-                }
+        if !parked.is_empty() && tier_of(cfg.mem.as_deref()) != DegradeTier::Refuse {
+            for flow in parked.drain(..UNPARK_BURST.min(parked.len())) {
+                ready.push(flow);
                 worked = true;
             }
         }
 
-        // Emit a burst of arrivals.
+        // Ask the source model about a burst of runnable flows.
         for _ in 0..EMIT_BURST {
-            let Some(flow) = ready.pop_front() else { break };
+            let Some(flow) = ready.pop() else { break };
             let i = flow as usize;
-            fs[i].queued = false;
-            if fs[i].budget == 0 || fs[i].sent >= limits[i] {
-                continue; // throttled (a completion requeues) or done
-            }
-            if cl_params.is_some() && now < fs[i].next_allowed {
-                // Closed-loop pacing: the transport's congestion window
-                // says not yet (stray completion wakeups land here).
-                retries.push(Reverse((fs[i].next_allowed, flow)));
-                continue;
-            }
-            if !fs[i].established {
-                // Flow setup under a memory budget: the refuse tier (or an
-                // exhausted budget) turns new flows away before any packet
-                // memory is committed — the strongest degradation. Refused
-                // flows park until the tier clears (the unpark probe
-                // above), so a saturated budget costs O(1) per flow, not a
-                // retry storm. A failed charge nearly always means the
-                // tier is already Refuse (512 B of headroom sits inside
-                // the 95 % threshold once the budget exceeds ~10 KB), so
-                // park/unpark churn stays within the probe's burst bound.
-                let m = mem.expect("unestablished flows only exist under a budget");
-                if m.tier() == DegradeTier::Refuse || !m.try_charge(FLOW_SETUP_BYTES) {
-                    out.setup_refused += 1;
-                    parked.push_back(flow);
-                    continue;
-                }
-                fs[i].established = true;
-            }
             let s_home = home[i] as usize;
             // Failover: a watchdog-suspect shard stops receiving new work;
             // its flows rehash over the live set (stable `shard_of` on the
@@ -1270,93 +935,66 @@ fn producer_loop(
             } else {
                 alive[shard_of(flow, alive.len())]
             };
-            // Bounded backoff on a full — or fault-squeezed — ring. The
-            // producer-view `len()` can only over-count occupancy, so
-            // `len < cap` guarantees the push lands; no spin, no blocking.
-            let eff_cap = faults[s].ring_capacity(now, ring_cap);
-            if data_tx[s].len() >= eff_cap {
-                // Bounded exponential backoff, plus deterministic seeded
-                // jitter keyed on (flow, attempt): producers that found
-                // the ring full at the same instant would otherwise all
-                // return `BACKOFF_BASE_NS << exp` later — in lockstep, to
-                // the same full ring (the thundering herd).
-                out.ring_full_retries += 1;
-                let exp = fs[i].backoff.min(BACKOFF_MAX_EXP);
-                fs[i].backoff = fs[i].backoff.saturating_add(1);
-                fs[i].retry_seq = fs[i].retry_seq.wrapping_add(1);
-                let base = BACKOFF_BASE_NS << exp;
-                let at = now + base + backoff_jitter(flow, fs[i].retry_seq, base / 2);
-                retries.push(Reverse((at, flow)));
-                continue;
-            }
-            fs[i].backoff = 0;
-            fs[i].arrivals += 1;
-            if flow_cap.is_some_and(|cap| fs[i].inflight >= cap) {
-                out.dropped_per_shard[s_home] += 1;
-                if want_trace {
-                    out.drops.push((WallNanos(now), flow, fs[i].arrivals - 1));
-                }
-                retries.push(Reverse((now + offered_gap, flow)));
-                continue;
-            }
-            if let Some(m) = mem {
-                // Per-packet slab accounting: an exhausted budget defers
-                // the emission (jittered) instead of allocating — backlog
-                // memory cannot exceed the budget, whatever the ring and
-                // qdisc capacities would admit. The retry is source-side
-                // (the sender re-offers), so it backs off by the offered
-                // gap — under decoupled overload the shaped gap can be
-                // seconds, which would idle the slab pool it waits for.
-                if !m.try_charge(PKT_SLAB_BYTES) {
-                    out.mem_deferrals += 1;
-                    fs[i].retry_seq = fs[i].retry_seq.wrapping_add(1);
-                    let base = offered_gap;
-                    let at = now + base + backoff_jitter(flow, fs[i].retry_seq, base / 2);
-                    retries.push(Reverse((at, flow)));
+            // A full — or fault-squeezed — ring. The producer-view `len()`
+            // can only over-count occupancy, so `len < cap` guarantees the
+            // push lands; no spin, no blocking.
+            let room = || data_tx[s].len() < faults[s].ring_capacity(now, ring_cap);
+            let retry_at = match src.offer(flow, now, room) {
+                Offer::Idle => continue,
+                Offer::Paced(at) | Offer::MemDeferred(at) => at,
+                Offer::SetupRefused => {
+                    parked.push_back(flow);
                     continue;
                 }
-            }
-            fs[i].budget -= 1;
-            fs[i].inflight += 1;
-            fs[i].sent += 1;
-            if finite && fs[i].sent == limits[i] {
-                flows_done += 1;
-            }
-            let pkt = Packet::mtu(next_pkt_id, flow, now);
-            next_pkt_id += 1;
-            data_tx[s]
-                .push(pkt)
-                .unwrap_or_else(|_| unreachable!("len() < capacity guarantees SPSC space"));
-            if s != s_home {
-                out.redirected += 1;
-            }
-            out.emitted += 1;
-            if cl_params.is_some() {
-                // The transport paces itself: next emission no earlier
-                // than the base gap stretched by its congestion scale.
-                fs[i].next_allowed = now + cl[i].gap(offered_gap).max(1);
-            }
-            if fs[i].budget > 0 && fs[i].sent < limits[i] {
-                if cl_params.is_some() {
-                    retries.push(Reverse((fs[i].next_allowed, flow)));
-                } else {
-                    // Bulk sender: back-to-back until TSQ throttles.
-                    fs[i].queued = true;
-                    ready.push_back(flow);
+                // Bounded exponential backoff, jittered per (flow, attempt):
+                // producers that found the ring full at the same instant
+                // would otherwise all return `BACKOFF_BASE_NS << exp` later
+                // — in lockstep, to the same full ring.
+                Offer::RingFull => {
+                    out.ring_full_retries += 1;
+                    let base = BACKOFF_BASE_NS << backoff[i].min(BACKOFF_MAX_EXP);
+                    backoff[i] = backoff[i].saturating_add(1);
+                    now + src.retry_in(flow, base)
                 }
-            }
-            worked = true;
+                Offer::CapDrop { seq, retry_at } => {
+                    out.dropped_per_shard[s_home] += 1;
+                    if want_trace {
+                        out.drops.push((WallNanos(now), flow, seq));
+                    }
+                    retry_at
+                }
+                Offer::Emit { pkt, again } => {
+                    backoff[i] = 0;
+                    data_tx[s]
+                        .push(pkt)
+                        .unwrap_or_else(|_| unreachable!("len() < capacity guarantees SPSC space"));
+                    if s != s_home {
+                        out.redirected += 1;
+                    }
+                    worked = true;
+                    match again {
+                        // Bulk sender: back-to-back until TSQ throttles.
+                        Some(at) if at <= now => {
+                            ready.push(flow);
+                            continue;
+                        }
+                        Some(at) => at,
+                        None => continue,
+                    }
+                }
+            };
+            retries.push(Reverse((retry_at, flow)));
         }
 
         // Termination.
-        if finite && flows_done == flows {
+        if src.all_sent() {
             for tx in ctrl_tx.iter_mut() {
                 let _ = tx.push(CtrlMsg::Shutdown { drain: true });
             }
             break;
         }
         if now >= wall_limit {
-            out.timed_out = finite; // normal end for timed runs
+            out.timed_out = cfg.is_finite(); // normal end for timed runs
             for tx in ctrl_tx.iter_mut() {
                 let _ = tx.push(CtrlMsg::Shutdown { drain: false });
             }
@@ -1366,19 +1004,6 @@ fn producer_loop(
             std::thread::yield_now();
         }
     }
-    if let Some(m) = mem {
-        // Run over: the sources close. Release the setup charge of every
-        // still-established flow — their final completions may still be in
-        // flight (the join loop discards them), and timed runs end with
-        // flows mid-stream by design.
-        for f in fs.iter_mut() {
-            if f.established && !f.freed {
-                f.freed = true;
-                m.release(FLOW_SETUP_BYTES);
-            }
-        }
-    }
-    out.cl = cl_params.map(|_| summarize_closed_loop(cl));
     out
 }
 
@@ -1386,7 +1011,10 @@ fn producer_loop(
 mod tests {
     use super::*;
     use crate::eiffel::EiffelQdisc;
-    use eiffel_sim::Rate;
+    use crate::host::HostConfig;
+    use eiffel_sim::{Rate, SECOND};
+    use eiffel_workloads::ClosedLoopParams;
+    use std::sync::Arc;
 
     fn tiny_host(flows: usize) -> HostConfig {
         HostConfig {
