@@ -630,6 +630,18 @@ mod tests {
     use crate::hclock::{FlowSpec, HClockEiffel};
     use crate::pfabric::PfabricEiffel;
     use eiffel_sim::Rate;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// Every test here busy-polls against the wall clock. The test runner
+    /// starts them side by side; on a two-CPU box they then starve each
+    /// other and a rate-limited run reads far below its limit. Each test
+    /// holds this for its whole body, so they run one at a time.
+    static WALL_CLOCK: Mutex<()> = Mutex::new(());
+
+    fn wall_clock() -> MutexGuard<'static, ()> {
+        // A test that failed while holding the lock guards no data.
+        WALL_CLOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     /// Equal per-flow specs whose limits sum to `agg_mbps`.
     pub fn flat_specs(flows: usize, agg_mbps: u64) -> Vec<FlowSpec> {
@@ -645,6 +657,7 @@ mod tests {
 
     #[test]
     fn limits_bind_in_real_time() {
+        let _serial = wall_clock();
         // 16 flows, 160 Mbps aggregate limit: any modern core can saturate
         // this, so the measured rate must sit *at* the limit, not above.
         let specs = flat_specs(16, 160);
@@ -666,6 +679,7 @@ mod tests {
 
     #[test]
     fn batched_rate_limits_still_bind() {
+        let _serial = wall_clock();
         // The batched consumer path must not let a rate-limited scheduler
         // exceed its configured aggregate.
         let specs = flat_specs(16, 160);
@@ -688,6 +702,7 @@ mod tests {
 
     #[test]
     fn sharded_rate_sums_shard_contributions() {
+        let _serial = wall_clock();
         let mut shards: Vec<PfabricEiffel> = (0..4).map(|_| PfabricEiffel::new()).collect();
         let mut gen = RoundRobinGen::new(64, 1_500);
         let mut remaining = vec![0u64; 64];
@@ -720,6 +735,7 @@ mod tests {
 
     #[test]
     fn threaded_rate_runs_real_threads_and_limits_bind() {
+        let _serial = wall_clock();
         // 2 shard threads, rate-limited schedulers: the wall-clock rate
         // must hug the configured aggregate (160 Mbps), proving the rings
         // keep the backlog fed and the limit clocks run on real time.
@@ -749,6 +765,7 @@ mod tests {
 
     #[test]
     fn unlimited_scheduler_is_cpu_bound_not_zero() {
+        let _serial = wall_clock();
         let mut s = PfabricEiffel::new();
         let mut gen = RoundRobinGen::new(100, 1_500);
         let mut remaining = vec![0u64; 100];

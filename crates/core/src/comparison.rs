@@ -12,6 +12,7 @@
 //! tie behaviour so dequeue orders are comparable in tests.
 
 use std::cmp::Ordering;
+use std::collections::btree_map::{Entry, OccupiedEntry};
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 use crate::traits::{EnqueueError, RankedQueue};
@@ -91,11 +92,37 @@ impl<T> RankedQueue<T> for HeapPq<T> {
     }
 }
 
-/// Balanced-tree priority queue: `BTreeMap` from rank to FIFO of items
-/// (the kernel-RB-tree stand-in).
+/// The elements of one rank, oldest first. A rank held by one element —
+/// the common case once ranks are deadlines or finish tags — lives inline
+/// in the tree; only a rank that is actually shared pays for a FIFO.
+#[derive(Debug, Clone)]
+enum RankSlot<T> {
+    One(T),
+    Many(VecDeque<T>),
+}
+
+impl<T> RankSlot<T> {
+    fn push(&mut self, item: T) {
+        // The placeholder is never observed and does not allocate.
+        *self = match std::mem::replace(self, RankSlot::Many(VecDeque::new())) {
+            RankSlot::One(first) => {
+                let mut fifo = VecDeque::with_capacity(4);
+                fifo.extend([first, item]);
+                RankSlot::Many(fifo)
+            }
+            RankSlot::Many(mut fifo) => {
+                fifo.push_back(item);
+                RankSlot::Many(fifo)
+            }
+        };
+    }
+}
+
+/// Balanced-tree priority queue: `BTreeMap` from rank to the rank's
+/// elements in arrival order (the kernel-RB-tree stand-in).
 #[derive(Debug, Clone)]
 pub struct TreePq<T> {
-    tree: BTreeMap<u64, VecDeque<T>>,
+    tree: BTreeMap<u64, RankSlot<T>>,
     len: usize,
 }
 
@@ -107,6 +134,29 @@ impl<T> TreePq<T> {
             len: 0,
         }
     }
+
+    /// Takes one element of the rank at `slot`, the oldest or (`!oldest`)
+    /// the youngest; the entry goes with the rank's last element.
+    fn take(mut slot: OccupiedEntry<'_, u64, RankSlot<T>>, oldest: bool) -> (u64, T) {
+        let rank = *slot.key();
+        let item = match slot.get_mut() {
+            RankSlot::Many(fifo) if fifo.len() > 1 => {
+                if oldest {
+                    fifo.pop_front()
+                } else {
+                    fifo.pop_back()
+                }
+            }
+            _ => match slot.remove() {
+                RankSlot::One(item) => Some(item),
+                RankSlot::Many(mut fifo) => fifo.pop_front(),
+            },
+        };
+        (
+            rank,
+            item.expect("a rank's entry is removed with its last element"),
+        )
+    }
 }
 
 impl<T> Default for TreePq<T> {
@@ -117,31 +167,28 @@ impl<T> Default for TreePq<T> {
 
 impl<T> RankedQueue<T> for TreePq<T> {
     fn enqueue(&mut self, rank: u64, item: T) -> Result<(), EnqueueError<T>> {
-        self.tree.entry(rank).or_default().push_back(item);
+        match self.tree.entry(rank) {
+            Entry::Vacant(slot) => {
+                slot.insert(RankSlot::One(item));
+            }
+            Entry::Occupied(mut slot) => slot.get_mut().push(item),
+        }
         self.len += 1;
         Ok(())
     }
 
     fn dequeue_min(&mut self) -> Option<(u64, T)> {
-        let (&rank, fifo) = self.tree.iter_mut().next()?;
-        let item = fifo.pop_front().expect("empty FIFOs are removed eagerly");
-        if fifo.is_empty() {
-            self.tree.remove(&rank);
-        }
+        let slot = self.tree.first_entry()?;
         self.len -= 1;
-        Some((rank, item))
+        Some(Self::take(slot, true))
     }
 
     fn dequeue_max(&mut self) -> Option<(u64, T)> {
-        let (&rank, fifo) = self.tree.iter_mut().next_back()?;
-        // LIFO within the max rank: the youngest worst-ranked element is
-        // the one overload sheds first (it has waited least).
-        let item = fifo.pop_back().expect("empty FIFOs are removed eagerly");
-        if fifo.is_empty() {
-            self.tree.remove(&rank);
-        }
+        // Youngest within the max rank: the worst-ranked element that has
+        // waited least is the one overload sheds first.
+        let slot = self.tree.last_entry()?;
         self.len -= 1;
-        Some((rank, item))
+        Some(Self::take(slot, false))
     }
 
     fn peek_min_rank(&self) -> Option<u64> {
@@ -182,6 +229,33 @@ mod tests {
     #[test]
     fn tree_pq_basic() {
         exercise(&mut TreePq::new());
+    }
+
+    /// Tie order across the inline-one / FIFO-of-many slot transitions:
+    /// oldest first from the min end, youngest first from the max end,
+    /// also when a rank drains to one element, empties, and refills.
+    #[test]
+    fn tree_pq_ties_are_fifo_at_min_and_youngest_first_at_max() {
+        let mut q = TreePq::new();
+        for (rank, item) in [(5, 'a'), (9, 'b'), (5, 'c'), (9, 'd'), (5, 'e'), (9, 'f')] {
+            q.enqueue(rank, item).unwrap();
+        }
+        assert_eq!(q.dequeue_max(), Some((9, 'f')));
+        assert_eq!(q.dequeue_min(), Some((5, 'a')));
+        q.enqueue(5, 'g').unwrap();
+        q.enqueue(9, 'h').unwrap();
+        assert_eq!(q.peek_min_rank(), Some(5));
+        assert_eq!(q.dequeue_max(), Some((9, 'h')));
+        assert_eq!(q.dequeue_max(), Some((9, 'd')));
+        assert_eq!(q.dequeue_min(), Some((5, 'c')));
+        assert_eq!(q.dequeue_min(), Some((5, 'e')));
+        assert_eq!(q.dequeue_min(), Some((5, 'g')));
+        assert_eq!(q.dequeue_min(), Some((9, 'b')));
+        assert_eq!(q.len(), 0);
+        assert_eq!(q.dequeue_max(), None);
+        // A rank that drained and came back still queues behind nothing.
+        q.enqueue(5, 'i').unwrap();
+        assert_eq!(q.dequeue_min(), Some((5, 'i')));
     }
 
     #[test]

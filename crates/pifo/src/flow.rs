@@ -10,7 +10,10 @@
 //!
 //! Re-ranking an enqueued flow uses the bucketed queues' O(1) (re)move:
 //! entries are epoch-stamped and stale ones are skipped lazily at dequeue,
-//! so a rank change costs one enqueue, never a scan.
+//! so a rank change costs one enqueue, never a scan. Stale entries behind a
+//! rank the service never reaches would pile up for ever, so they are
+//! counted, and the queue is rebuilt without them once they outnumber the
+//! live entries by a constant factor — amortized O(1) per re-rank.
 
 use std::collections::VecDeque;
 
@@ -125,6 +128,15 @@ pub trait FlowPolicy {
 /// Queue entry: flow id + epoch stamp for lazy invalidation.
 type FlowEntry = (FlowId, u64);
 
+/// The flow queue is compacted when its stale entries exceed this multiple
+/// of its live ones (one live entry per flow that is backlogged and not
+/// parked), so it never holds more than `1 + STALE_PER_LIVE` entries per
+/// such flow, plus the floor.
+const STALE_PER_LIVE: usize = 2;
+/// Stale entries always tolerated, so a near-empty queue is not rebuilt on
+/// every re-rank.
+const STALE_FLOOR: usize = 64;
+
 /// The per-flow transaction: one ranked queue ordering flows, one FIFO per
 /// flow.
 pub struct FlowScheduler<P: FlowPolicy> {
@@ -134,6 +146,8 @@ pub struct FlowScheduler<P: FlowPolicy> {
     packets: usize,
     /// Stale entries skipped so far (observability for tests/benches).
     stale_skipped: u64,
+    /// Stale entries in `queue` right now: invalidated, not yet skipped.
+    stale: usize,
     /// Reusable id buffer for [`FlowScheduler::advance`].
     rerank_scratch: Vec<FlowId>,
     /// Whether [`FlowScheduler::dequeue_batch`] may use the strict-minimum
@@ -155,6 +169,7 @@ impl<P: FlowPolicy> FlowScheduler<P> {
             flows: Vec::new(),
             packets: 0,
             stale_skipped: 0,
+            stale: 0,
             rerank_scratch: Vec::new(),
             batch_shortcut: false,
         }
@@ -218,6 +233,11 @@ impl<P: FlowPolicy> FlowScheduler<P> {
         self.stale_skipped
     }
 
+    /// Entries the flow queue holds right now, live and stale.
+    pub fn queue_entries(&self) -> usize {
+        self.queue.len()
+    }
+
     /// Access to the policy (e.g. to adjust weights at runtime).
     pub fn policy_mut(&mut self) -> &mut P {
         &mut self.policy
@@ -243,18 +263,18 @@ impl<P: FlowPolicy> FlowScheduler<P> {
     /// (re-)inserts the flow's epoch-stamped entry when the rank changed.
     fn apply_rank(&mut self, id: FlowId, new_rank: u64) {
         let f = &mut self.flows[id as usize];
+        let was_active = f.active;
         if new_rank == PARK {
             // Parked: no queue entry until the policy's advance surfaces
             // the flow again; any live entry goes stale.
             f.rank = PARK;
             f.active = false;
-            return;
-        }
-        let needs_entry = !f.active || new_rank != f.rank;
-        f.rank = new_rank;
-        if needs_entry {
+        } else if was_active && new_rank == f.rank {
+            return; // the live entry already sits at this rank
+        } else {
             // Invalidate any previous entry and insert the fresh one: the
             // O(1) re-rank.
+            f.rank = new_rank;
             f.epoch += 1;
             f.active = true;
             let entry = (id, f.epoch);
@@ -262,6 +282,32 @@ impl<P: FlowPolicy> FlowScheduler<P> {
                 .enqueue(new_rank, entry)
                 .unwrap_or_else(|e| panic!("flow rank {} outside queue range", e.rank));
         }
+        if was_active {
+            self.stale += 1;
+            let live = self.queue.len() - self.stale;
+            if self.stale > STALE_PER_LIVE * live.max(STALE_FLOOR) {
+                self.compact();
+            }
+        }
+    }
+
+    /// Rebuilds the flow queue from its live entries, in the order it would
+    /// have served them (rank, then FIFO), so service order is unchanged. A
+    /// moving-window queue may rotate while it drains; entries then behind
+    /// its window re-enter as "due now" — one FIFO bucket, which the
+    /// re-entry order keeps sorted.
+    fn compact(&mut self) {
+        let mut entries = Vec::with_capacity(self.queue.len());
+        self.queue.dequeue_batch(usize::MAX, &mut entries);
+        for (rank, (id, epoch)) in entries {
+            let f = &self.flows[id as usize];
+            if f.active && f.epoch == epoch {
+                self.queue
+                    .enqueue(rank, (id, epoch))
+                    .unwrap_or_else(|e| panic!("flow rank {} outside queue range", e.rank));
+            }
+        }
+        self.stale = 0;
     }
 
     /// Fires the policy's poll hook: flows whose eligibility changed at
@@ -307,6 +353,7 @@ impl<P: FlowPolicy> FlowScheduler<P> {
             let f = &mut self.flows[id as usize];
             if !f.active || f.epoch != epoch {
                 self.stale_skipped += 1;
+                self.stale -= 1;
                 continue; // lazily dropped re-rank leftover
             }
             // Valid entry: this flow is the scheduler's choice.
@@ -362,6 +409,7 @@ impl<P: FlowPolicy> FlowScheduler<P> {
             let f = &mut self.flows[id as usize];
             if !f.active || f.epoch != epoch {
                 self.stale_skipped += 1;
+                self.stale -= 1;
                 continue; // lazily dropped re-rank leftover
             }
             f.active = false;
@@ -540,6 +588,35 @@ mod tests {
             }
         }
         assert!(single.dequeue(0).is_none());
+    }
+
+    #[test]
+    fn compaction_drops_stale_entries_and_keeps_rank_then_fifo_order() {
+        let mut s = sched();
+        // Flows 1 and 2 tie at rank 3, flow 1 first; then flow 0 re-ranks
+        // 300 times, each leaving a stale entry behind ranks 1..=299 that
+        // shortest-queue-first would only reach after serving 1 and 2.
+        for i in 0..3 {
+            s.enqueue(0, pkt(i, 1));
+        }
+        for i in 0..3 {
+            s.enqueue(0, pkt(10 + i, 2));
+        }
+        for i in 0..300 {
+            s.enqueue(0, pkt(100 + i, 0));
+        }
+        let live = 3;
+        assert!(
+            s.queue_entries() <= live + STALE_PER_LIVE * STALE_FLOOR + 1,
+            "stale entries were compacted away, {} left",
+            s.queue_entries()
+        );
+        assert!(s.queue_entries() < 300, "at least one compaction ran");
+        let flows: Vec<FlowId> = std::iter::from_fn(|| s.dequeue(0).map(|p| p.flow)).collect();
+        let mut want = vec![1, 1, 1, 2, 2, 2];
+        want.resize(306, 0);
+        assert_eq!(flows, want, "rank order, FIFO between the tied flows");
+        assert_eq!(s.queue_entries(), 0);
     }
 
     #[test]

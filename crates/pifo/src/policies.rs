@@ -13,8 +13,6 @@
 //! [`eiffel_core::RankedQueue`] substrate — adding a scheduling scenario
 //! is a policy file, not a new crate (see DESIGN.md for the recipe).
 
-use std::collections::HashMap;
-
 use eiffel_core::{CffsQueue, QueueConfig, QueueKind, RankedQueue};
 use eiffel_sim::{FlowId, Nanos, Packet, Rate};
 
@@ -64,6 +62,18 @@ pub trait NodeProgram {
     fn queue_hint(&self) -> (QueueKind, QueueConfig) {
         (QueueKind::Cffs, QueueConfig::new(4_096, 1, 0))
     }
+
+    /// Whether the ranks issued for any one [`RankCtx::key`] never
+    /// decrease (different keys may interleave freely). Finish and start
+    /// tags, arrival counters and static per-child priorities have this
+    /// property; deadlines and annotator slacks do not. An inner node whose
+    /// program declares it needs no sorted queue: each child's entries are
+    /// already in order, so the tree keeps one FIFO per child and compares
+    /// only their heads (see [`crate::tree`]). Debug builds check the
+    /// declaration on every enqueue.
+    fn per_key_monotone(&self) -> bool {
+        false
+    }
 }
 
 /// Historical name for [`NodeProgram`] (the paper calls them scheduling
@@ -89,6 +99,10 @@ impl NodeProgram for Fifo {
         self.seq += 1;
         r
     }
+
+    fn per_key_monotone(&self) -> bool {
+        true
+    }
 }
 
 /// Strict priority by the packet's annotated class (the 8-level 802.1Q
@@ -109,26 +123,80 @@ impl NodeProgram for StrictPriority {
 /// Strict priority between *children* of an inner node, by a static map.
 #[derive(Debug)]
 pub struct ChildPriority {
-    prio: HashMap<u64, u64>,
+    /// Priority by child key (keys are node ids: small and dense).
+    prio: Vec<u64>,
 }
 
 impl ChildPriority {
+    /// Lowest priority, given to unlisted children.
+    const LOWEST: u64 = 63;
+
     /// Builds from `(child key, priority)` pairs; unlisted children get the
     /// lowest priority (63).
     pub fn new(pairs: &[(u64, u64)]) -> Self {
-        ChildPriority {
-            prio: pairs.iter().copied().collect(),
+        let mut prio = Vec::new();
+        for &(key, p) in pairs {
+            let key = key as usize;
+            if prio.len() <= key {
+                prio.resize(key + 1, Self::LOWEST);
+            }
+            prio[key] = p;
         }
+        ChildPriority { prio }
     }
 }
 
 impl NodeProgram for ChildPriority {
     fn rank(&mut self, ctx: &RankCtx<'_>) -> u64 {
-        self.prio.get(&ctx.key).copied().unwrap_or(63)
+        self.prio
+            .get(ctx.key as usize)
+            .copied()
+            .unwrap_or(Self::LOWEST)
     }
 
     fn queue_hint(&self) -> (QueueKind, QueueConfig) {
         (QueueKind::Ffs, QueueConfig::new(64, 1, 0))
+    }
+
+    fn per_key_monotone(&self) -> bool {
+        true
+    }
+}
+
+/// Per-key state of the fair-queueing programs ([`Stfq`], [`Wfq`]).
+#[derive(Debug, Clone, Copy)]
+struct FairKey {
+    /// Virtual finish tag of the key's latest element.
+    finish: u64,
+    /// Share of bandwidth relative to sibling keys.
+    weight: u64,
+}
+
+/// The fair-queueing programs' key table. Keys are child node ids at inner
+/// nodes and flow ids at leaves — small and dense — so the per-packet
+/// look-up is one index, not a hash.
+#[derive(Debug, Default)]
+struct FairKeys(Vec<FairKey>);
+
+impl FairKeys {
+    /// The key's state, created on first sight with weight 1.
+    fn get(&mut self, key: u64) -> &mut FairKey {
+        let key = key as usize;
+        if self.0.len() <= key {
+            self.0.resize(
+                key + 1,
+                FairKey {
+                    finish: 0,
+                    weight: 1,
+                },
+            );
+        }
+        &mut self.0[key]
+    }
+
+    fn set_weight(&mut self, key: u64, weight: u64) {
+        assert!(weight > 0, "weights must be positive");
+        self.get(key).weight = weight;
     }
 }
 
@@ -142,9 +210,7 @@ impl NodeProgram for ChildPriority {
 #[derive(Debug)]
 pub struct Stfq {
     vtime: u64,
-    finish: HashMap<u64, u64>,
-    weights: HashMap<u64, u64>,
-    default_weight: u64,
+    keys: FairKeys,
     /// Rank units per byte at weight 1 (scales byte counts into ranks).
     bytes_scale: u64,
 }
@@ -154,24 +220,14 @@ impl Stfq {
     pub fn new() -> Self {
         Stfq {
             vtime: 0,
-            finish: HashMap::new(),
-            weights: HashMap::new(),
-            default_weight: 1,
+            keys: FairKeys::default(),
             bytes_scale: 1,
         }
     }
 
     /// Sets the weight for a key (share of bandwidth relative to siblings).
     pub fn set_weight(&mut self, key: u64, weight: u64) {
-        assert!(weight > 0, "weights must be positive");
-        self.weights.insert(key, weight);
-    }
-
-    fn weight(&self, key: u64) -> u64 {
-        self.weights
-            .get(&key)
-            .copied()
-            .unwrap_or(self.default_weight)
+        self.keys.set_weight(key, weight);
     }
 }
 
@@ -183,11 +239,10 @@ impl Default for Stfq {
 
 impl NodeProgram for Stfq {
     fn rank(&mut self, ctx: &RankCtx<'_>) -> u64 {
-        let start = self
-            .vtime
-            .max(self.finish.get(&ctx.key).copied().unwrap_or(0));
-        let cost = (ctx.pkt.bytes as u64 * self.bytes_scale) / self.weight(ctx.key);
-        self.finish.insert(ctx.key, start + cost.max(1));
+        let k = self.keys.get(ctx.key);
+        let start = self.vtime.max(k.finish);
+        let cost = (ctx.pkt.bytes as u64 * self.bytes_scale) / k.weight;
+        k.finish = start + cost.max(1);
         start
     }
 
@@ -199,6 +254,11 @@ impl NodeProgram for Stfq {
     fn queue_hint(&self) -> (QueueKind, QueueConfig) {
         // Virtual times move forward; bucket ≈ one MTU of virtual work.
         (QueueKind::Cffs, QueueConfig::new(8_192, 1_500, 0))
+    }
+
+    fn per_key_monotone(&self) -> bool {
+        // A key's start tag is at least its previous finish tag.
+        true
     }
 }
 
@@ -252,9 +312,7 @@ impl NodeProgram for SlackRank {
 #[derive(Debug)]
 pub struct Wfq {
     vtime: u64,
-    finish: HashMap<u64, u64>,
-    weights: HashMap<u64, u64>,
-    default_weight: u64,
+    keys: FairKeys,
 }
 
 impl Wfq {
@@ -262,23 +320,13 @@ impl Wfq {
     pub fn new() -> Self {
         Wfq {
             vtime: 0,
-            finish: HashMap::new(),
-            weights: HashMap::new(),
-            default_weight: 1,
+            keys: FairKeys::default(),
         }
     }
 
     /// Sets the weight for a key (share of bandwidth relative to siblings).
     pub fn set_weight(&mut self, key: u64, weight: u64) {
-        assert!(weight > 0, "weights must be positive");
-        self.weights.insert(key, weight);
-    }
-
-    fn weight(&self, key: u64) -> u64 {
-        self.weights
-            .get(&key)
-            .copied()
-            .unwrap_or(self.default_weight)
+        self.keys.set_weight(key, weight);
     }
 }
 
@@ -290,13 +338,10 @@ impl Default for Wfq {
 
 impl NodeProgram for Wfq {
     fn rank(&mut self, ctx: &RankCtx<'_>) -> u64 {
-        let start = self
-            .vtime
-            .max(self.finish.get(&ctx.key).copied().unwrap_or(0));
-        let cost = (ctx.pkt.bytes as u64 / self.weight(ctx.key)).max(1);
-        let tag = start + cost;
-        self.finish.insert(ctx.key, tag);
-        tag
+        let k = self.keys.get(ctx.key);
+        let cost = (ctx.pkt.bytes as u64 / k.weight).max(1);
+        k.finish = self.vtime.max(k.finish) + cost;
+        k.finish
     }
 
     fn on_dequeue(&mut self, rank: u64) {
@@ -308,6 +353,11 @@ impl NodeProgram for Wfq {
         // Finish tags are unbounded and conformance is exact: use the
         // comparison tree (FIFO within equal tags, like the reference).
         (QueueKind::BTree, QueueConfig::new(1, 1, 0))
+    }
+
+    fn per_key_monotone(&self) -> bool {
+        // A key's finish tag only grows.
+        true
     }
 }
 

@@ -15,13 +15,24 @@
 //!   journey — and each stage re-enters the work-conserving hierarchy one
 //!   level up, at a rank computed by that level's transaction.
 //!
+//! An inner node whose program issues non-decreasing ranks per child
+//! ([`NodeProgram::per_key_monotone`]) does not sort its entries at all: it
+//! is laid out as the PIFO block of *Programmable Packet Scheduling* §5.2 —
+//! a **rank store** (one FIFO per child, in order by construction) under a
+//! **flow scheduler** that compares only the ≤ fan-out heads. Same order as
+//! the program's hinted queue, FIFO among equals included; a child
+//! reference costs a `push_back`, not a comparison-tree insert. Other
+//! programs, and per-packet leaves (whose keys are flow ids), keep the
+//! hinted [`RankedQueue`]. [`TreeBuilder::build`] picks, from the
+//! program's declaration and the tree's shape.
+//!
 //! The tree is driven in poll style: `advance(now)` fires due shaper
 //! releases, `dequeue(now)` pops the best transmittable packet,
 //! `soonest_deadline()` tells a timer-driven host when to wake up.
 
 use std::collections::VecDeque;
 
-use eiffel_core::RankedQueue;
+use eiffel_core::{RankedQueue, Reciprocal};
 use eiffel_sim::{Nanos, Packet, Rate};
 
 use crate::flow::FlowScheduler;
@@ -40,10 +51,88 @@ enum Entry {
     Child(usize),
 }
 
-/// What a node holds besides its queue.
+/// One element of a [`RankStore`] FIFO.
+struct Ranked {
+    rank: u64,
+    /// Arrival number at the node: FIFO among equal ranks across children.
+    seq: u64,
+    entry: Entry,
+}
+
+/// Head key of an empty [`RankStore`] FIFO: after every real `(bucket, seq)`.
+const NO_HEAD: (u64, u64) = (u64::MAX, u64::MAX);
+
+/// The body of an inner node whose program is per-key monotone: one FIFO
+/// per child (the rank store) and the cached `(bucket, seq)` key of each
+/// FIFO's front (the flow scheduler). The minimum head is the node's
+/// minimum element, because no FIFO holds a smaller rank behind its front.
+///
+/// Heads compare at the granularity of the program's queue hint, so the
+/// order is the one that bucketed queue would give (elements of one bucket
+/// FIFO by arrival), without its window: no rank is ever clamped.
+struct RankStore {
+    /// Indexed by the child's [`Node::slot`].
+    fifos: Vec<VecDeque<Ranked>>,
+    heads: Vec<(u64, u64)>,
+    bucket: Reciprocal,
+    seq: u64,
+    len: usize,
+}
+
+impl RankStore {
+    fn new(fanout: usize, granularity: u64) -> Self {
+        RankStore {
+            fifos: (0..fanout).map(|_| VecDeque::new()).collect(),
+            heads: vec![NO_HEAD; fanout],
+            bucket: Reciprocal::new(granularity),
+            seq: 0,
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, slot: usize, rank: u64, entry: Entry) {
+        let fifo = &mut self.fifos[slot];
+        debug_assert!(
+            fifo.back().map_or(true, |last| last.rank <= rank),
+            "program declared per_key_monotone but ranked child slot {slot} at {rank} \
+             behind a queued larger rank"
+        );
+        if fifo.is_empty() {
+            self.heads[slot] = (self.bucket.div(rank), self.seq);
+        }
+        fifo.push_back(Ranked {
+            rank,
+            seq: self.seq,
+            entry,
+        });
+        self.seq += 1;
+        self.len += 1;
+    }
+
+    fn pop(&mut self) -> Option<(u64, Entry)> {
+        let mut best = 0;
+        for slot in 1..self.heads.len() {
+            if self.heads[slot] < self.heads[best] {
+                best = slot;
+            }
+        }
+        let fifo = &mut self.fifos[best];
+        let min = fifo.pop_front()?;
+        self.heads[best] = fifo
+            .front()
+            .map_or(NO_HEAD, |next| (self.bucket.div(next.rank), next.seq));
+        self.len -= 1;
+        Some((min.rank, min.entry))
+    }
+}
+
+/// What a node holds besides its program.
 enum Body {
-    /// Inner node / per-packet leaf: the ranked queue of [`Entry`].
+    /// Per-packet leaf, or inner node of a program that may rank a child
+    /// below its own queued entries: the hinted ranked queue of [`Entry`].
     Queue(Box<dyn RankedQueue<Entry>>),
+    /// Inner node of a per-key-monotone program.
+    Heads(RankStore),
     /// Per-flow leaf (Eiffel extension #1/#2).
     Flows(FlowScheduler<Box<dyn ObjFlowPolicy>>),
 }
@@ -51,6 +140,10 @@ enum Body {
 struct Node {
     name: String,
     parent: Option<usize>,
+    /// Position among the parent's children (0 for the root).
+    slot: usize,
+    /// Number of children; 0 for leaves.
+    fanout: usize,
     tx: Box<dyn NodeProgram>,
     body: Body,
     /// Rate limit: if present, elements below this node are invisible to
@@ -66,7 +159,19 @@ impl Node {
     fn backlog(&self) -> usize {
         match &self.body {
             Body::Queue(q) => q.len(),
+            Body::Heads(rs) => rs.len,
             Body::Flows(f) => f.len(),
+        }
+    }
+
+    /// Inserts an element that surfaced from child `slot` at `rank`.
+    fn insert(&mut self, slot: usize, rank: u64, entry: Entry) {
+        match &mut self.body {
+            Body::Queue(q) => q
+                .enqueue(rank, entry)
+                .unwrap_or_else(|e| panic!("rank {} outside node queue range", e.rank)),
+            Body::Heads(rs) => rs.push(slot, rank, entry),
+            Body::Flows(_) => unreachable!("flow leaves have no children"),
         }
     }
 }
@@ -125,9 +230,19 @@ impl std::fmt::Debug for PifoTree {
     }
 }
 
+/// A node as declared to the builder; [`TreeBuilder::build`] gives it a body.
+struct Draft {
+    name: String,
+    parent: Option<usize>,
+    tx: Box<dyn NodeProgram>,
+    /// The flow scheduler of a per-flow leaf.
+    flows: Option<FlowScheduler<Box<dyn ObjFlowPolicy>>>,
+    limit: Option<Rate>,
+}
+
 /// Builder for [`PifoTree`].
 pub struct TreeBuilder {
-    nodes: Vec<Node>,
+    nodes: Vec<Draft>,
     shaper_buckets: usize,
     shaper_granularity: Nanos,
 }
@@ -151,35 +266,21 @@ impl TreeBuilder {
         self
     }
 
-    fn push(
-        &mut self,
-        name: &str,
-        parent: Option<NodeId>,
-        tx: Box<dyn NodeProgram>,
-        body: Body,
-        limit: Option<Rate>,
-    ) -> NodeId {
+    fn push(&mut self, parent: Option<NodeId>, draft: Draft) -> NodeId {
         let id = self.nodes.len();
         if let Some(p) = parent {
             assert!(p.0 < id, "parent must be created before child");
             assert!(
-                matches!(self.nodes[p.0].body, Body::Queue(_)),
+                self.nodes[p.0].flows.is_none(),
                 "flow leaves cannot have children"
             );
         }
-        self.nodes.push(Node {
-            name: name.to_string(),
-            parent: parent.map(|p| p.0),
-            tx,
-            body,
-            limit: limit.map(TokenStamper::new),
-            credit_pending: false,
-        });
+        self.nodes.push(draft);
         NodeId(id)
     }
 
-    /// Adds an inner or per-packet-leaf node (usable as either: a node with
-    /// children never receives direct enqueues).
+    /// Adds an inner or per-packet-leaf node; it is an inner node if later
+    /// nodes name it as their parent (and then takes no direct enqueues).
     pub fn node(
         &mut self,
         name: &str,
@@ -187,9 +288,16 @@ impl TreeBuilder {
         tx: Box<dyn NodeProgram>,
         limit: Option<Rate>,
     ) -> NodeId {
-        let (kind, cfg) = tx.queue_hint();
-        let queue = kind.build(cfg);
-        self.push(name, parent, tx, Body::Queue(queue), limit)
+        self.push(
+            parent,
+            Draft {
+                name: name.to_string(),
+                parent: parent.map(|p| p.0),
+                tx,
+                flows: None,
+                limit,
+            },
+        )
     }
 
     /// Adds a per-flow leaf (Eiffel extension): `policy` ranks flows, and
@@ -209,47 +317,78 @@ impl TreeBuilder {
             !policy.may_park() || (parent.is_none() && limit.is_none()),
             "parking flow policies are only sound at an unshaped root"
         );
-        let fs = FlowScheduler::new(policy, flow_queue);
-        // Flow leaves rank flows internally; the node-level program is
-        // unused, a FIFO placeholder keeps the type uniform.
         self.push(
-            name,
             parent,
-            Box::new(crate::policies::Fifo::new()),
-            Body::Flows(fs),
-            limit,
+            Draft {
+                name: name.to_string(),
+                parent: parent.map(|p| p.0),
+                // Flow leaves rank flows internally; the node-level program
+                // is unused, a FIFO placeholder keeps the type uniform.
+                tx: Box::new(crate::policies::Fifo::new()),
+                flows: Some(FlowScheduler::new(policy, flow_queue)),
+                limit,
+            },
         )
     }
 
     /// Finalizes the tree. Node 0 must be the root.
+    ///
+    /// The shape is now known, so each node gets its body here: a flow
+    /// leaf its scheduler, an inner node of a per-key-monotone program the
+    /// rank store, every other node the queue its program hints.
     pub fn build(self) -> Result<PifoTree, TreeError> {
         if self.nodes.is_empty() {
             return Err(TreeError::Empty);
         }
         assert!(self.nodes[0].parent.is_none(), "node 0 must be the root");
-        let flow_leaves: Vec<usize> = self
+        let mut fanout = vec![0usize; self.nodes.len()];
+        let mut slots = vec![0usize; self.nodes.len()];
+        for (i, d) in self.nodes.iter().enumerate() {
+            if let Some(p) = d.parent {
+                slots[i] = fanout[p];
+                fanout[p] += 1;
+            }
+        }
+        let nodes: Vec<Node> = self
             .nodes
-            .iter()
+            .into_iter()
             .enumerate()
-            .filter(|(_, n)| matches!(n.body, Body::Flows(_)))
-            .map(|(i, _)| i)
+            .map(|(i, d)| {
+                let (kind, cfg) = d.tx.queue_hint();
+                let body = match d.flows {
+                    Some(fs) => Body::Flows(fs),
+                    None if fanout[i] > 0 && d.tx.per_key_monotone() => {
+                        Body::Heads(RankStore::new(fanout[i], cfg.granularity))
+                    }
+                    None => Body::Queue(kind.build(cfg)),
+                };
+                Node {
+                    name: d.name,
+                    parent: d.parent,
+                    slot: slots[i],
+                    fanout: fanout[i],
+                    tx: d.tx,
+                    body,
+                    limit: d.limit.map(TokenStamper::new),
+                    credit_pending: false,
+                }
+            })
             .collect();
-        let advancing: Vec<usize> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.tx.needs_advance())
-            .map(|(i, _)| i)
+        let flow_leaves = (0..nodes.len())
+            .filter(|&i| matches!(nodes[i].body, Body::Flows(_)))
+            .collect();
+        let advancing = (0..nodes.len())
+            .filter(|&i| nodes[i].tx.needs_advance())
             .collect();
         Ok(PifoTree {
-            nodes: self.nodes,
+            flow_leaves,
+            advancing,
+            nodes,
             shaper: Shaper::new(self.shaper_buckets, self.shaper_granularity, 0),
             ready: VecDeque::new(),
             packets: 0,
             due_scratch: Vec::new(),
             entry_scratch: Vec::new(),
-            flow_leaves,
-            advancing,
         })
     }
 }
@@ -282,35 +421,38 @@ impl PifoTree {
     }
 
     /// Enqueues `pkt` at leaf `leaf` (chosen by the packet annotator).
+    /// A node that has children takes none directly: [`TreeError::NotALeaf`].
     pub fn enqueue(&mut self, now: Nanos, leaf: NodeId, pkt: Packet) -> Result<(), TreeError> {
         let idx = leaf.0;
-        let meta = pkt.clone();
-        if matches!(self.nodes[idx].body, Body::Flows(_)) {
-            let Body::Flows(fs) = &mut self.nodes[idx].body else {
-                unreachable!()
-            };
-            fs.enqueue(now, pkt);
-        } else {
-            let ctx = RankCtx {
-                now,
-                pkt: &meta,
-                key: meta.flow as u64,
-            };
-            let rank = self.nodes[idx].tx.rank(&ctx);
-            let Body::Queue(q) = &mut self.nodes[idx].body else {
-                unreachable!()
-            };
-            q.enqueue(rank, Entry::Packet(pkt))
-                .unwrap_or_else(|e| panic!("rank {} outside node queue range", e.rank));
+        if self.nodes[idx].fanout > 0 {
+            return Err(TreeError::NotALeaf(self.nodes[idx].name.clone()));
+        }
+        // Ancestors first: they only read the packet, which can then move
+        // into the leaf un-cloned. Nothing pops in between, and programs
+        // share no state across nodes, so the order is unobservable.
+        self.propagate_up(now, idx, &pkt);
+        let node = &mut self.nodes[idx];
+        match &mut node.body {
+            Body::Flows(fs) => fs.enqueue(now, pkt),
+            Body::Queue(q) => {
+                let rank = node.tx.rank(&RankCtx {
+                    now,
+                    pkt: &pkt,
+                    key: pkt.flow as u64,
+                });
+                q.enqueue(rank, Entry::Packet(pkt))
+                    .unwrap_or_else(|e| panic!("rank {} outside node queue range", e.rank));
+            }
+            Body::Heads(_) => unreachable!("only inner nodes get a rank store"),
         }
         self.packets += 1;
-        self.propagate_up(now, idx, &meta);
         Ok(())
     }
 
-    /// After an element landed in `idx`, make it visible upward: push child
-    /// references at each un-shaped ancestor; stop at a shaped node and arm
-    /// its shaper credit instead (§3.2.2 decoupling).
+    /// An element (described by `meta`) is landing in `idx`: make it
+    /// visible upward — push child references at each un-shaped ancestor;
+    /// stop at a shaped node and arm its shaper credit instead (§3.2.2
+    /// decoupling).
     fn propagate_up(&mut self, now: Nanos, mut idx: usize, meta: &Packet) {
         loop {
             if self.nodes[idx].limit.is_some() {
@@ -320,17 +462,14 @@ impl PifoTree {
             let Some(parent) = self.nodes[idx].parent else {
                 return;
             };
-            let ctx = RankCtx {
+            let slot = self.nodes[idx].slot;
+            let up = &mut self.nodes[parent];
+            let rank = up.tx.rank(&RankCtx {
                 now,
                 pkt: meta,
                 key: idx as u64,
-            };
-            let rank = self.nodes[parent].tx.rank(&ctx);
-            let Body::Queue(q) = &mut self.nodes[parent].body else {
-                unreachable!("flow leaves have no children")
-            };
-            q.enqueue(rank, Entry::Child(idx))
-                .unwrap_or_else(|e| panic!("rank {} outside node queue range", e.rank));
+            });
+            up.insert(slot, rank, Entry::Child(idx));
             idx = parent;
         }
     }
@@ -356,6 +495,7 @@ impl PifoTree {
         let (rank, entry) = match &mut self.nodes[idx].body {
             Body::Flows(fs) => return fs.dequeue(now).expect("descent reached an empty flow leaf"),
             Body::Queue(q) => q.dequeue_min().expect("descent reached an empty node"),
+            Body::Heads(rs) => rs.pop().expect("descent reached an empty node"),
         };
         self.nodes[idx].tx.on_dequeue(rank);
         match entry {
@@ -410,19 +550,17 @@ impl PifoTree {
             match self.nodes[idx].parent {
                 None => self.ready.push_back(pkt),
                 Some(parent) => {
-                    let meta = pkt.clone();
-                    let ctx = RankCtx {
+                    // As in `enqueue`: the ancestors read the packet before
+                    // it moves into the parent.
+                    self.propagate_up(ts, parent, &pkt);
+                    let slot = self.nodes[idx].slot;
+                    let up = &mut self.nodes[parent];
+                    let rank = up.tx.rank(&RankCtx {
                         now: ts,
-                        pkt: &meta,
+                        pkt: &pkt,
                         key: idx as u64,
-                    };
-                    let rank = self.nodes[parent].tx.rank(&ctx);
-                    let Body::Queue(q) = &mut self.nodes[parent].body else {
-                        unreachable!("flow leaves have no children")
-                    };
-                    q.enqueue(rank, Entry::Packet(pkt))
-                        .unwrap_or_else(|e| panic!("rank {} outside node queue range", e.rank));
-                    self.propagate_up(ts, parent, &meta);
+                    });
+                    up.insert(slot, rank, Entry::Packet(pkt));
                 }
             }
         }
@@ -551,18 +689,19 @@ impl PifoTree {
         max: usize,
         out: &mut Vec<Packet>,
     ) -> usize {
-        let Body::Queue(_) = &self.nodes[idx].body else {
-            let Body::Flows(fs) = &mut self.nodes[idx].body else {
-                unreachable!()
-            };
+        if let Body::Flows(fs) = &mut self.nodes[idx].body {
             return fs.dequeue_batch(now, max, out);
-        };
+        }
         let mut entries = self.entry_scratch.pop().unwrap_or_default();
         entries.clear();
-        let Body::Queue(q) = &mut self.nodes[idx].body else {
-            unreachable!()
+        let got = match &mut self.nodes[idx].body {
+            Body::Queue(q) => q.dequeue_batch(max, &mut entries),
+            Body::Heads(rs) => {
+                entries.extend(std::iter::from_fn(|| rs.pop()).take(max));
+                entries.len()
+            }
+            Body::Flows(_) => unreachable!("returned above"),
         };
-        let got = q.dequeue_batch(max, &mut entries);
         let mut it = entries.drain(..).peekable();
         while let Some((rank, entry)) = it.next() {
             self.nodes[idx].tx.on_dequeue(rank);
@@ -601,6 +740,7 @@ impl PifoTree {
                 // backlog parked behind shaped descendants (or a parking
                 // policy) does not count, so no busy-wake here.
                 Body::Queue(q) if !q.is_empty() => return Some(now),
+                Body::Heads(rs) if rs.len > 0 => return Some(now),
                 Body::Flows(fs) if fs.has_queued_flows() => return Some(now),
                 _ => {}
             }
@@ -621,7 +761,7 @@ impl PifoTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policies::{ChildPriority, Fifo, Lqf, StrictPriority};
+    use crate::policies::{ChildPriority, Edf, Fifo, Lqf, Lstf, Stfq, StrictPriority, Wfq};
     use eiffel_core::{QueueConfig, QueueKind};
 
     fn pkt(id: u64, flow: u32, class: u32, at: Nanos) -> Packet {
@@ -757,6 +897,121 @@ mod tests {
         }
         assert_eq!(rest.len(), 2);
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn enqueue_at_an_inner_node_is_refused() {
+        let mut b = TreeBuilder::new();
+        let root = b.node("root", None, Box::new(Wfq::new()), None);
+        let mid = b.node("mid", Some(root), Box::new(Lstf), None);
+        let leaf = b.node("leaf", Some(mid), Box::new(Fifo::new()), None);
+        let mut t = b.build().unwrap();
+        for inner in [root, mid] {
+            let name = t.nodes[inner.0].name.clone();
+            assert_eq!(
+                t.enqueue(0, inner, pkt(0, 0, 0, 0)),
+                Err(TreeError::NotALeaf(name))
+            );
+        }
+        assert!(t.is_empty(), "a refused packet is not counted");
+        assert_eq!(t.dequeue(0), None);
+        t.enqueue(0, leaf, pkt(1, 0, 0, 0)).unwrap();
+        assert_eq!(t.dequeue(0).map(|p| p.id), Some(1));
+    }
+
+    #[test]
+    fn build_picks_the_body_from_the_program_and_the_shape() {
+        let mut b = TreeBuilder::new();
+        let root = b.node("root", None, Box::new(Wfq::new()), None);
+        // Per-key monotone and inner: rank store.
+        let stfq = b.node("stfq", Some(root), Box::new(Stfq::new()), None);
+        let prio = b.node("prio", Some(root), Box::new(ChildPriority::new(&[])), None);
+        let fifo = b.node("fifo", Some(root), Box::new(Fifo::new()), None);
+        // Inner, but deadlines and slacks may rank a child below its own
+        // queued entries: the hinted queue.
+        let edf = b.node("edf", Some(root), Box::new(Edf::new(vec![1_000])), None);
+        let lstf = b.node("lstf", Some(root), Box::new(Lstf), None);
+        let inner = [stfq, prio, fifo, edf, lstf];
+        // One per-packet leaf under each, all of monotone programs: leaves
+        // key by flow id and keep the hinted queue.
+        for (i, parent) in inner.iter().enumerate() {
+            b.node(
+                &format!("leaf{i}"),
+                Some(*parent),
+                Box::new(Fifo::new()),
+                None,
+            );
+        }
+        let t = b.build().unwrap();
+        let is_store = |id: NodeId| matches!(t.nodes[id.0].body, Body::Heads(_));
+        let is_queue = |id: NodeId| matches!(t.nodes[id.0].body, Body::Queue(_));
+        assert!([root, stfq, prio, fifo].into_iter().all(is_store));
+        assert!([edf, lstf].into_iter().all(is_queue));
+        assert!((6..11).all(|i| is_queue(NodeId(i))));
+        assert_eq!(t.nodes[root.0].fanout, 5);
+        assert_eq!(t.nodes[lstf.0].slot, 4);
+    }
+
+    /// Claims per-key monotone ranks, issues decreasing ones.
+    struct Liar(u64);
+
+    impl NodeProgram for Liar {
+        fn rank(&mut self, _ctx: &RankCtx<'_>) -> u64 {
+            self.0 -= 1;
+            self.0
+        }
+
+        fn per_key_monotone(&self) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "declared per_key_monotone")]
+    fn a_program_lying_about_monotonicity_trips_the_debug_assertion() {
+        let mut b = TreeBuilder::new();
+        let root = b.node("root", None, Box::new(Liar(100)), None);
+        let leaf = b.node("leaf", Some(root), Box::new(Fifo::new()), None);
+        let mut t = b.build().unwrap();
+        t.enqueue(0, leaf, pkt(0, 0, 0, 0)).unwrap();
+        t.enqueue(0, leaf, pkt(1, 0, 0, 0)).unwrap();
+    }
+
+    /// Ledger finding 2: under one-for-one replacement no LQF flow gets
+    /// shorter than 3, so the entries invalidated behind that rank are
+    /// never reached by the service; the flow queue used to grow by one
+    /// entry per packet (7 MB → 409 MB over 10 M packets).
+    #[test]
+    fn lqf_flow_queue_stays_proportional_to_the_flows() {
+        const FLOWS: u32 = 2_500;
+        let mut t = crate::lang::compile(
+            "node root kind=wfq\n\
+             node bulk parent=root kind=flow:lqf\n",
+        )
+        .unwrap();
+        let bulk = t.node_by_name("bulk").unwrap();
+        let mut id = 0;
+        for _ in 0..4 {
+            for flow in 0..FLOWS {
+                t.enqueue(0, bulk, pkt(id, flow, 0, 0)).unwrap();
+                id += 1;
+            }
+        }
+        for _ in 0..1_000_000 {
+            let served = t.dequeue(0).expect("steady occupancy");
+            t.enqueue(0, bulk, pkt(id, served.flow, 0, 0)).unwrap();
+            id += 1;
+        }
+        let Body::Flows(fs) = &t.nodes[bulk.0].body else {
+            panic!("flow:lqf compiles to a flow leaf");
+        };
+        assert_eq!(t.len(), 4 * FLOWS as usize);
+        assert!(
+            fs.queue_entries() <= 4 * FLOWS as usize,
+            "{} flow-queue entries for {FLOWS} flows",
+            fs.queue_entries()
+        );
     }
 
     #[test]
