@@ -316,9 +316,11 @@ fn busy_poll<S: BessScheduler>(
             packets: sent_pkts,
         },
         // Each shard's share of the window, at the edge-rated aggregate.
+        // The share is taken first so a lone shard's is exactly 1 and its
+        // rate exactly the total (`pps * c / sent` rounds twice).
         per_shard_pps: shard_pkts
             .iter()
-            .map(|&c| pps * c as f64 / sent_pkts.max(1) as f64)
+            .map(|&c| pps * (c as f64 / sent_pkts.max(1) as f64))
             .collect(),
     }
 }

@@ -10,18 +10,20 @@
 //! no `ExtractMin`, so the softirq must poll every slot whether or not
 //! anything is due — the cost Figure 10 (right) attributes to Carousel.
 
-use std::collections::HashMap;
-
 use eiffel_core::TimingWheel;
-use eiffel_sim::{FlowId, Nanos, Packet};
+use eiffel_sim::{Nanos, Packet};
 
 use crate::qdisc::{ShaperQdisc, TimerStyle};
+use crate::sock::SocketClocks;
 
 /// Carousel: per-socket timestamping + a timing wheel.
+///
+/// Flow ids must be dense (`0..flows`): they index the per-socket clock
+/// column, which grows to the largest id seen.
 pub struct CarouselQdisc {
     wheel: TimingWheel<Packet>,
-    /// Per-socket shaper clock (the paper keeps this in `sock.h`).
-    next_eligible: HashMap<FlowId, Nanos>,
+    /// Per-socket shaper clocks (the paper keeps these in `sock.h`).
+    clocks: SocketClocks,
     /// Release staging: `advance` drains whole slots; dequeue hands packets
     /// out one at a time.
     staged: Vec<(u64, Packet)>,
@@ -36,22 +38,11 @@ impl CarouselQdisc {
     pub fn new(slots: usize, slot_ns: Nanos) -> Self {
         CarouselQdisc {
             wheel: TimingWheel::new(slots, slot_ns, 0),
-            next_eligible: HashMap::new(),
+            clocks: SocketClocks::default(),
             staged: Vec::new(),
             staged_next: 0,
             slot_ns,
         }
-    }
-
-    fn stamp(&mut self, now: Nanos, flow: FlowId, bytes: u64, rate_bps: u64) -> Nanos {
-        let clock = self.next_eligible.entry(flow).or_insert(0);
-        let release = (*clock).max(now);
-        let wire_ns = (bytes * 8)
-            .saturating_mul(1_000_000_000)
-            .checked_div(rate_bps)
-            .unwrap_or(0);
-        *clock = release + wire_ns;
-        release
     }
 }
 
@@ -61,7 +52,9 @@ impl ShaperQdisc for CarouselQdisc {
     }
 
     fn enqueue(&mut self, now: Nanos, pkt: Packet, pacing_rate_bps: u64) {
-        let ts = self.stamp(now, pkt.flow, pkt.bytes as u64, pacing_rate_bps);
+        let ts = self
+            .clocks
+            .stamp(now, pkt.flow, pkt.bytes as u64, pacing_rate_bps);
         self.wheel.schedule(ts, pkt);
     }
 

@@ -5,24 +5,26 @@
 //! We modified only sock.h to keep the state of each socket allowing us to
 //! avoid having to keep track of each flow in the qdisc."
 //!
-//! Per-socket timestamping (the `sock.h` modification) lives in a per-flow
-//! clock map standing in for socket state; the queue is one cFFS. Unlike
-//! the timing wheel, the cFFS answers `SoonestDeadline()` in O(1) word ops,
-//! so the host timer is armed *exactly* — the source of the Figure 10
-//! softirq gap.
-
-use std::collections::HashMap;
+//! Per-socket timestamping (the `sock.h` modification) lives in a dense
+//! per-flow clock column standing in for socket state; the queue is one
+//! cFFS. Unlike the timing wheel, the cFFS answers `SoonestDeadline()` in
+//! O(1) word ops, so the host timer is armed *exactly* — the source of the
+//! Figure 10 softirq gap.
 
 use eiffel_core::{CffsQueue, RankedQueue};
-use eiffel_sim::{FlowId, Nanos, Packet};
+use eiffel_sim::{Nanos, Packet};
 
 use crate::qdisc::{ShaperQdisc, TimerStyle};
+use crate::sock::SocketClocks;
 
 /// Eiffel's shaping qdisc: per-socket stamps + a cFFS.
+///
+/// Flow ids must be dense (`0..flows`): they index the per-socket clock
+/// column, which grows to the largest id seen.
 pub struct EiffelQdisc {
     queue: CffsQueue<Packet>,
-    /// Per-socket shaper clock ("sock.h" state).
-    next_eligible: HashMap<FlowId, Nanos>,
+    /// Per-socket shaper clocks ("sock.h" state).
+    clocks: SocketClocks,
     /// Scratch for the batched dequeue path (ranks are discarded; the
     /// buffer is reused so batching never allocates per call).
     batch_scratch: Vec<(Nanos, Packet)>,
@@ -39,20 +41,9 @@ impl EiffelQdisc {
     pub fn new(buckets: usize, granularity: Nanos) -> Self {
         EiffelQdisc {
             queue: CffsQueue::new(buckets, granularity, 0),
-            next_eligible: HashMap::new(),
+            clocks: SocketClocks::default(),
             batch_scratch: Vec::new(),
         }
-    }
-
-    fn stamp(&mut self, now: Nanos, flow: FlowId, bytes: u64, rate_bps: u64) -> Nanos {
-        let clock = self.next_eligible.entry(flow).or_insert(0);
-        let release = (*clock).max(now);
-        let wire_ns = (bytes * 8)
-            .saturating_mul(1_000_000_000)
-            .checked_div(rate_bps)
-            .unwrap_or(0);
-        *clock = release + wire_ns;
-        release
     }
 }
 
@@ -62,7 +53,9 @@ impl ShaperQdisc for EiffelQdisc {
     }
 
     fn enqueue(&mut self, now: Nanos, pkt: Packet, pacing_rate_bps: u64) {
-        let ts = self.stamp(now, pkt.flow, pkt.bytes as u64, pacing_rate_bps);
+        let ts = self
+            .clocks
+            .stamp(now, pkt.flow, pkt.bytes as u64, pacing_rate_bps);
         self.queue
             .enqueue(ts, pkt)
             .unwrap_or_else(|_| unreachable!("cFFS clamps instead of refusing"));
@@ -138,6 +131,7 @@ mod tests {
         // both shapers must release the same packets at (bucket/slot
         // granularity of) the same times.
         use crate::carousel::CarouselQdisc;
+        use eiffel_sim::FlowId;
         let gran = 1_000;
         let mut e = EiffelQdisc::new(1 << 16, gran);
         let mut c = CarouselQdisc::new(1 << 16, gran);

@@ -34,6 +34,7 @@ pub mod host;
 pub mod qdisc;
 pub mod ranked;
 pub mod sharded;
+mod sock;
 mod source;
 pub mod threaded;
 

@@ -12,13 +12,12 @@
 //! It is deliberately *not* a shaper: throughput differences between
 //! backends under faults come from the queue structure, not pacing.
 
-use std::collections::HashMap;
-
 use eiffel_core::{QueueConfig, QueueKind, RankedQueue};
-use eiffel_sim::{FlowId, Nanos, Packet};
+use eiffel_sim::{Nanos, Packet};
 use eiffel_workloads::RankPattern;
 
 use crate::qdisc::{ShaperQdisc, TimerStyle};
+use crate::sock::row;
 
 /// Stable report name for a backend kind.
 pub fn backend_label(kind: QueueKind) -> &'static str {
@@ -38,13 +37,17 @@ pub fn backend_label(kind: QueueKind) -> &'static str {
 }
 
 /// Ranked work-conserving qdisc: any [`QueueKind`] behind [`ShaperQdisc`].
+///
+/// Flow ids must be dense (`0..flows`): they index the per-flow sequence
+/// column, which grows to the largest id seen.
 pub struct RankedShaperQdisc {
     queue: Box<dyn RankedQueue<Packet> + Send>,
     pattern: RankPattern,
     /// Highest rank the queue can represent (patterns are clamped here so
     /// fixed-range backends never refuse an enqueue).
     max_rank: u64,
-    seq: HashMap<FlowId, u64>,
+    /// Per-flow arrival count: the pattern's sequence argument.
+    seq: Vec<u64>,
     name: &'static str,
     scratch: Vec<(u64, Packet)>,
 }
@@ -57,7 +60,7 @@ impl RankedShaperQdisc {
             queue: kind.build_send(cfg),
             pattern,
             max_rank: cfg.start_rank + cfg.span() - 1,
-            seq: HashMap::new(),
+            seq: Vec::new(),
             name: backend_label(kind),
             scratch: Vec::new(),
         }
@@ -70,7 +73,7 @@ impl ShaperQdisc for RankedShaperQdisc {
     }
 
     fn enqueue(&mut self, _now: Nanos, mut pkt: Packet, _pacing_rate_bps: u64) {
-        let seq = self.seq.entry(pkt.flow).or_insert(0);
+        let seq = row(&mut self.seq, pkt.flow);
         let rank = self.pattern.rank(pkt.flow, *seq).min(self.max_rank);
         *seq += 1;
         pkt.rank = rank;
@@ -119,6 +122,7 @@ impl ShaperQdisc for RankedShaperQdisc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eiffel_sim::FlowId;
 
     fn mtu(id: u64, flow: FlowId) -> Packet {
         Packet::mtu(id, flow, 0)

@@ -10,9 +10,10 @@
 //! (DESIGN.md, "One source model + one stage body, two drivers"): sources
 //! are the `FlowSource` model (`source.rs`), each core is a `Shard` stage body,
 //! and what lives here is only what the virtual clock needs — the event
-//! heap, the pending rings stalled cores park arrivals in, and the
-//! conservation audits at fault boundaries. [`crate::host::run`] is its
-//! 1-shard case.
+//! calendar ([`eiffel_sim::BucketedEventQueue`], the same FFS-indexed
+//! structure `dcsim` runs on), the pending rings stalled cores park
+//! arrivals in, and the conservation audits at fault boundaries.
+//! [`crate::host::run`] is its 1-shard case.
 //!
 //! * **Stable flow→shard hashing** ([`eiffel_sim::shard_of`]): a flow's
 //!   packets always meet the same qdisc instance, so an N-shard host is
@@ -30,13 +31,16 @@
 //! [`eiffel_sim::EventQueue`], this rule is shard-count-invariant, which is
 //! what makes the N-vs-1 equivalence exact rather than statistical.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use eiffel_chaos::{Admission, AdmitPolicy, ShardFaults};
 use eiffel_core::DegradeTier;
 use eiffel_sim::cpu::{IRQ_ENTRY_NS, LOCK_NS, PER_PACKET_STACK_NS};
-use eiffel_sim::{shard_of, CpuCategory, CpuMeter, FlowId, Nanos, Packet, WallNanos};
+use eiffel_sim::sched::MAX_SLOT_SHIFT;
+use eiffel_sim::{
+    shard_of, BucketedEventQueue, CpuCategory, CpuMeter, EventScheduler, FlowId, Nanos, Packet,
+    WallNanos,
+};
 use eiffel_workloads::ClosedLoopSummary;
 
 use crate::host::{wanted_deadline, RunConfig};
@@ -295,8 +299,8 @@ impl ShardTrace {
     }
 }
 
-/// Event kinds, ordered so timers sort before sources at equal time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// Event kinds; [`Ev::kind`] is the calendar's tie class.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
     /// Shard `shard`'s stall window ended: drain its pending ingress ring.
     Resume { shard: u32 },
@@ -307,6 +311,9 @@ enum Ev {
 }
 
 impl Ev {
+    /// Which kind runs first at one instant: events fire in `(time, kind,
+    /// seq)` order — deterministic and shard-count-invariant (see the
+    /// module docs).
     fn kind(&self) -> u8 {
         match self {
             // A resuming core first drains the ring its producers filled
@@ -318,34 +325,37 @@ impl Ev {
     }
 }
 
-/// Min-heap over `(time, kind, seq)`: deterministic, shard-count-invariant
-/// ordering (see the module docs).
-#[derive(Debug, Default)]
-struct EvHeap {
-    heap: BinaryHeap<Reverse<(Nanos, u8, u64, Ev)>>,
-    seq: u64,
-}
+/// Wheel slots of the driver's event calendar: 512 KiB of slot heads.
+const CALENDAR_SLOTS: usize = 1 << 16;
 
-impl EvHeap {
-    #[inline]
-    fn schedule(&mut self, at: Nanos, ev: Ev) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Reverse((at, ev.kind(), seq, ev)));
-    }
+/// Emit gaps the calendar's horizon must span. A source re-asks within a
+/// few gaps: one (`Emit.again`, cap drops, slab deferrals), up to 1.5
+/// (ring-full backoff), up to 12 (a refused set-up: 8 gaps plus up to 4 of
+/// jitter), and under closed-loop pacing the gap stretched by
+/// `SCALE_ONE / scale` — 5.3 gaps at `overload_100k`'s entry scale. Events
+/// past the horizon still fire exactly, from the overflow heap, but that
+/// heap is what the calendar is here to avoid: a 67 ms horizon on
+/// `overload_100k` (40 ms gaps) sent most re-asks there and gained nothing.
+const HORIZON_GAPS: u64 = 16;
 
-    #[inline]
-    fn pop(&mut self) -> Option<(Nanos, Ev)> {
-        self.heap.pop().map(|Reverse((at, _, _, ev))| (at, ev))
-    }
+/// The calendar for `cfg`: the narrowest power-of-two slot that lets
+/// [`CALENDAR_SLOTS`] slots span [`HORIZON_GAPS`] emit gaps (16 µs slots, a
+/// 1.07 s horizon, at `overload_100k`'s 40 ms). Wider slots only grow the
+/// front each slot is sorted in.
+fn calendar(cfg: &RunConfig) -> BucketedEventQueue<Ev> {
+    let span = cfg.emit_gap().saturating_mul(HORIZON_GAPS);
+    let width = span.div_ceil(CALENDAR_SLOTS as u64).next_power_of_two();
+    let shift = width.trailing_zeros().min(MAX_SLOT_SHIFT);
+    BucketedEventQueue::with_slot_shift(shift, CALENDAR_SLOTS)
 }
 
 /// One core's live state and its pipeline stages — crate-visible so
 /// [`crate::host::run`] can assemble a `HostReport` from the 1-shard case
 /// and [`crate::threaded`] can run the *same stage code* on a real OS
-/// thread. [`drive`] sequences the stages under the virtual event heap; the
-/// threaded shard loop sequences them under the wall clock. Neither has a
-/// private copy of the enqueue/softirq logic, so the models cannot drift.
+/// thread. [`drive`] sequences the stages under the virtual event
+/// calendar; the threaded shard loop sequences them under the wall clock.
+/// Neither has a private copy of the enqueue/softirq logic, so the models
+/// cannot drift.
 pub(crate) struct Shard<Q> {
     pub(crate) qdisc: Q,
     pub(crate) meter: CpuMeter,
@@ -483,7 +493,8 @@ impl<Q: ShaperQdisc> Shard<Q> {
     }
 
     /// Whether the armed timer's deadline has arrived — the threaded
-    /// runtime's poll-side equivalent of the heap delivering a timer event.
+    /// runtime's poll-side equivalent of the calendar delivering a timer
+    /// event.
     pub(crate) fn timer_due(&self, now: Nanos) -> bool {
         self.timer_armed_at.is_some_and(|at| now >= at)
     }
@@ -593,7 +604,7 @@ struct Virtual<'a, Q> {
     /// The ingress rings stalled cores park arrivals in (empty without a
     /// stall fault).
     pending: Vec<VecDeque<Packet>>,
-    events: EvHeap,
+    events: BucketedEventQueue<Ev>,
     src: FlowSource<'a>,
     trace: Option<&'a mut ShardTrace>,
     released: Vec<Packet>,
@@ -603,6 +614,12 @@ struct Virtual<'a, Q> {
 }
 
 impl<Q: ShaperQdisc> Virtual<'_, Q> {
+    /// Schedules `ev` at `at`, tie-broken by its kind.
+    #[inline]
+    fn schedule(&mut self, at: Nanos, ev: Ev) {
+        self.events.schedule_class(at, ev.kind(), ev);
+    }
+
     /// Conservation audit: every minted packet is transmitted, dropped by
     /// admission, evicted, in a qdisc, or parked in a pending ring.
     fn audit(&self, now: Nanos) {
@@ -630,7 +647,7 @@ impl<Q: ShaperQdisc> Virtual<'_, Q> {
     fn dispose(&mut self, now: Nanos, flow: FlowId, kind: CompletionKind) {
         release_slabs(self.cfg.mem.as_deref(), 1);
         if self.src.complete(flow, kind) == Credit::Wake {
-            self.events.schedule(now, Ev::Source(flow));
+            self.schedule(now, Ev::Source(flow));
         }
     }
 
@@ -658,7 +675,7 @@ impl<Q: ShaperQdisc> Virtual<'_, Q> {
         let epoch = self.shards[s].timer_epoch();
         let at = want + self.faults[s].timer_extra_delay(want, epoch);
         let shard = s as u32;
-        self.events.schedule(at, Ev::Timer { shard, epoch });
+        self.schedule(at, Ev::Timer { shard, epoch });
     }
 
     /// Flow `id` has (possibly) something to send: ask the source model and
@@ -699,7 +716,7 @@ impl<Q: ShaperQdisc> Virtual<'_, Q> {
                     // parked packet schedules the resume drain.
                     self.pending[s].push_back(pkt);
                     if self.pending[s].len() == 1 {
-                        self.events.schedule(until, Ev::Resume { shard: s as u32 });
+                        self.schedule(until, Ev::Resume { shard: s as u32 });
                     }
                 } else {
                     self.admit(now, s, pkt);
@@ -713,7 +730,7 @@ impl<Q: ShaperQdisc> Virtual<'_, Q> {
                 }
             }
         };
-        self.events.schedule(retry_at, Ev::Source(id));
+        self.schedule(retry_at, Ev::Source(id));
     }
 
     /// Shard `s`'s stall window ended: drain its ingress ring in arrival
@@ -721,7 +738,7 @@ impl<Q: ShaperQdisc> Virtual<'_, Q> {
     fn resume(&mut self, now: Nanos, s: usize) {
         if let Some(until) = self.faults[s].stall_until(now) {
             // An overlapping window extended the stall: stay parked.
-            self.events.schedule(until, Ev::Resume { shard: s as u32 });
+            self.schedule(until, Ev::Resume { shard: s as u32 });
             return;
         }
         while let Some(pkt) = self.pending[s].pop_front() {
@@ -741,7 +758,7 @@ impl<Q: ShaperQdisc> Virtual<'_, Q> {
             // The core is paused: the hrtimer interrupt pends in hardware
             // and delivers when the core resumes.
             let shard = s as u32;
-            self.events.schedule(until, Ev::Timer { shard, epoch });
+            self.schedule(until, Ev::Timer { shard, epoch });
             return;
         }
         let mut released = std::mem::take(&mut self.released);
@@ -825,7 +842,7 @@ pub(crate) fn drive<'a, Q: ShaperQdisc>(
         home,
         faults: (0..n_shards).map(|s| cfg.chaos.plan.compile(s)).collect(),
         pending: (0..n_shards).map(|_| VecDeque::new()).collect(),
-        events: EvHeap::default(),
+        events: calendar(cfg),
         // This clock staggers first emissions over one *pacing* gap.
         src: FlowSource::new(cfg, host.pacing_gap()),
         trace,
@@ -835,11 +852,11 @@ pub(crate) fn drive<'a, Q: ShaperQdisc>(
         ring_full_retries: 0,
     };
     for id in 0..host.flows as u32 {
-        v.events.schedule(v.src.start_at(id), Ev::Source(id));
+        v.schedule(v.src.start_at(id), Ev::Source(id));
     }
 
     // The books must balance exactly whenever a fault engages or clears,
-    // and after the heap drains too.
+    // and after the calendar drains too.
     let boundaries = cfg.chaos.plan.boundaries();
     let mut audits = 0;
     while let Some((now, ev)) = v.events.pop() {

@@ -14,7 +14,7 @@
 //!   its signal, say whether the flow needs waking ([`Credit`]).
 //!
 //! It has no clock and no queue of its own. The drivers
-//! ([`crate::sharded`]: event heap; [`crate::threaded`]: rings and a
+//! ([`crate::sharded`]: event calendar; [`crate::threaded`]: rings and a
 //! ready queue) ask at the instants their clock produces and map each
 //! verdict to their own wake-up mechanism, exactly as they do for the
 //! `Shard` stage verdicts.

@@ -628,7 +628,7 @@ fn shard_worker<Q: ShaperQdisc>(
 
         // Softirq: fire when the armed deadline (plus any injected timer
         // jitter) has passed on the wall clock — the poll-side version of
-        // the event heap delivering it.
+        // the event calendar delivering it.
         if shard.timer_due(now.saturating_sub(jitter)) {
             shard.softirq(now, batch, &mut drained);
             let penalty = faults.consumer_penalty_ns(now);

@@ -1,36 +1,64 @@
-//! FFS-bucketed event scheduler — Eiffel's own machinery driving the
-//! simulator's event loop.
+//! FFS-bucketed event calendar — Eiffel's own machinery driving the
+//! simulators' event loops.
 //!
 //! [`EventQueue`](crate::EventQueue) is the comparison-based priority queue
-//! the paper's bucketed-FFS design (§3.1) exists to beat; using it to drive
-//! the `dcsim` harness means every simulated packet pays `O(log n)` sift
-//! costs twice. [`BucketedEventQueue`] replaces it with the paper's own
-//! structure: a rotating timing wheel of 1 ns slots whose occupancy is an
-//! [`eiffel_core::HierBitmap`] (one FFS word-descent per pop, `O(log₆₄ N)`),
-//! plus an **overflow level** — a small `(time, insertion-order)` min-heap —
-//! for far-future timers such as RTOs that land beyond the wheel horizon.
+//! the paper's bucketed-FFS design (§3.1) exists to beat: every event pays
+//! `O(log n)` sift costs twice, and at 100 000 pending events most of them
+//! are cache misses. [`BucketedEventQueue`] replaces it with the paper's own
+//! structure, one type for every event loop in the workspace (`dcsim`'s
+//! fabric and `eiffel_qdisc`'s virtual-clock driver):
 //!
-//! # Determinism
+//! * a rotating wheel of **slots** `2^k` ns wide, each an unsorted bag
+//!   (an intrusive singly-linked list over one shared node slab), whose
+//!   occupancy is an [`eiffel_core::HierBitmap`] — one FFS word-descent
+//!   finds the next non-empty slot;
+//! * a small sorted **front** holding only the current slot's events — so
+//!   the comparison work is over the handful of events that share a slot,
+//!   not over everything pending;
+//! * an **overflow** level — a min-heap on the full key — for events beyond
+//!   the wheel's horizon (`slots × 2^k` ns), which migrate into the wheel
+//!   as the horizon reaches them.
 //!
-//! Both schedulers fire events in exactly `(time, insertion order)` order —
-//! the property every simulation result depends on. For the wheel this holds
+//! # Order contract
+//!
+//! Events pop in exactly `(time, class, insertion seq)` order. The class is
+//! a small integer the caller picks per event
+//! ([`schedule_class`](BucketedEventQueue::schedule_class)); through the
+//! [`EventScheduler`] trait every event is class 0, so the order is
+//! `(time, insertion order)` — the same as the binary heap's. It holds
 //! structurally:
 //!
-//! * Slots are 1 ns wide, so every event in one slot shares one timestamp
-//!   and the slot's FIFO *is* insertion order — provided insertions into a
-//!   slot happen in global sequence order.
-//! * Overflow events are keyed `(time, seq)` and migrate into the wheel the
-//!   moment the horizon reaches them, which is re-established after every
-//!   cursor advance (`pop`). A direct insertion at time `t` is only possible
-//!   while `t` is inside the horizon; any earlier-sequenced overflow event at
-//!   the same `t` entered the wheel at the horizon advance that first covered
-//!   `t` — strictly before the direct insertion. Hence slot FIFOs always
-//!   accumulate in sequence order.
+//! * Every pending event whose slot lies in `[cursor, cursor + slots)` is
+//!   in the wheel, and every other one is in the overflow heap. The
+//!   overflow is migrated on every advance of the cursor (the slot of the
+//!   last popped event), so the invariant survives pops; schedules route by
+//!   it directly.
+//! * **A bag is in insertion order.** Events reach a slot's bag either by
+//!   migration, in key order, at the one cursor advance that brings the
+//!   slot inside the horizon, or by direct scheduling after that advance —
+//!   later, with larger sequence numbers. So among bag events with equal
+//!   `(time, class)`, bag order is sequence order, and a bag node stores
+//!   only the slab link, a 32-bit key (its offset inside the slot and its
+//!   class) and the payload — for an 8-byte-aligned payload, no more than
+//!   a bare link and payload.
+//! * The cursor slot's events sit in the front, sorted *stably* by
+//!   `(offset, class)` — which, by the previous point, is
+//!   `(time, class, seq)`. Every bag holds a strictly later slot, and the
+//!   overflow a later one still, so the front's head is the global minimum.
+//!   When the front empties, the next occupied slot is loaded into it.
+//! * At 1 ns a slot is a single instant, so its order is `(class, seq)`
+//!   alone. Bags are then kept in that order on insertion — an append,
+//!   except for an event of a lower class than the bag's tail, which walks
+//!   the (short) list — and popped straight from their heads; the front is
+//!   never used. That keeps `dcsim`'s 1 ns, single-class loop free of any
+//!   sorting.
 //!
-//! The property suite (`crates/sim/tests/scheduler_equivalence.rs`) drives
-//! both implementations with identical random schedules — same-instant ties,
-//! far-future overflow timers, interleaved pops — and asserts identical pop
-//! sequences.
+//! The property suites (`crates/sim/tests/scheduler_equivalence.rs` against
+//! the binary heap, `crates/sim/tests/calendar_equivalence.rs` against a
+//! `(time, class, seq)` reference heap at several slot widths) drive both
+//! sides with identical random schedules — same-instant and cross-class
+//! ties, far-future overflow, jumps over an empty wheel, interleaved pops —
+//! and assert identical pop sequences.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -43,7 +71,7 @@ use crate::time::Nanos;
 /// `(time, insertion order)` order.
 ///
 /// Implemented by the [`EventQueue`](crate::EventQueue) binary heap (the
-/// baseline) and by [`BucketedEventQueue`] (the FFS-bucketed wheel), so
+/// baseline) and by [`BucketedEventQueue`] (the FFS-bucketed calendar), so
 /// harnesses can run on either backend and be compared.
 pub trait EventScheduler<E> {
     /// Current virtual time: the timestamp of the last popped event.
@@ -70,16 +98,30 @@ pub trait EventScheduler<E> {
     }
 }
 
-/// An overflow entry: explicit `(time, seq)` key for far-future events.
+/// Low bits of an overflow entry's tie word that hold its insertion
+/// sequence; the class sits above them, so `(time, tie)` compares as
+/// `(time, class, seq)`.
+const SEQ_BITS: u32 = 56;
+
+/// Low bits of a bag node's key that hold its class; the event's offset
+/// inside its slot sits above them.
+const CLASS_BITS: u32 = 8;
+
+/// Widest slot whose offsets fit a node key beside the class: 2²⁴ ns
+/// (≈ 16.8 ms per slot, a 1 100 s horizon at the default slot count).
+pub const MAX_SLOT_SHIFT: u32 = u32::BITS - CLASS_BITS;
+
+/// An overflow entry: explicit `(time, class << 56 | seq)` key. Ordered
+/// *reversed*, so the `BinaryHeap` of them is a min-heap.
 struct Far<E> {
     at: Nanos,
-    seq: u64,
+    tie: u64,
     event: E,
 }
 
 impl<E> PartialEq for Far<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        (self.at, self.tie) == (other.at, other.tie)
     }
 }
 
@@ -93,26 +135,24 @@ impl<E> PartialOrd for Far<E> {
 
 impl<E> Ord for Far<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed for min-heap behaviour on BinaryHeap.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
+        (other.at, other.tie).cmp(&(self.at, self.tie))
     }
 }
 
-/// Default wheel span: 2¹⁶ slots of 1 ns ≈ 65.5 µs of horizon — covers
+/// Default wheel span: 2¹⁶ slots. At 1 ns that is ≈ 65.5 µs of horizon —
 /// serialization times, propagation delays, fabric RTTs and pFabric RTOs;
 /// millisecond-scale timers (DCTCP RTOs, pre-generated arrival processes)
 /// take the overflow level.
 pub const DEFAULT_WHEEL_SLOTS: usize = 1 << 16;
 
 // The slot storage mirrors `eiffel_core::buckets::Buckets`' slab-FIFO
-// layout, minus the per-node rank (a wheel slot's timestamp is implied by
-// its index). Kept separate rather than generalized so each stays exactly
-// as wide as its payload; change them in tandem.
+// layout. Kept separate rather than generalized so each stays exactly as
+// wide as its payload; change them in tandem.
 
-/// Sentinel index terminating slot FIFOs and the free list.
+/// Sentinel index terminating slot lists and the free list.
 const NIL: u32 = u32::MAX;
 
-/// Head and tail of one slot's FIFO, packed so both land on one line.
+/// Head and tail of one slot's bag, packed so both land on one line.
 #[derive(Debug, Clone, Copy)]
 struct SlotList {
     head: u32,
@@ -121,43 +161,57 @@ struct SlotList {
 
 struct WheelNode<E> {
     next: u32,
+    /// `offset << CLASS_BITS | class`; the sequence is the bag position.
+    key: u32,
     /// `None` only while the node sits on the free list.
     event: Option<E>,
 }
 
-/// FFS-bucketed discrete-event scheduler: a rotating timing wheel of 1 ns
-/// slots over a hierarchical-FFS occupancy bitmap, with a `(time, seq)`
-/// min-heap as the overflow level for events beyond the horizon.
+/// FFS-bucketed discrete-event calendar: a rotating wheel of `2^k`-ns slots
+/// over a hierarchical-FFS occupancy bitmap, a sorted front for the current
+/// slot, and a min-heap overflow level for events beyond the horizon.
 ///
-/// Slots are intrusive singly-linked FIFOs over one shared node slab
+/// Slot bags are intrusive singly-linked lists over one shared node slab
 /// (8 bytes per slot, nodes recycled through a free list), so the wheel's
 /// footprint is slots × 8 B plus memory proportional to the number of
 /// *pending* events — not per-slot buffers.
 ///
-/// Pop order is exactly `(time, insertion order)` — see the
-/// [module docs](self) for the determinism argument.
+/// Pop order is exactly `(time, class, insertion seq)` — see the
+/// [module docs](self) for the contract and why it holds.
 pub struct BucketedEventQueue<E> {
-    /// One FIFO per 1 ns slot; all events in a slot share one timestamp.
+    /// One bag per slot.
     slots: Vec<SlotList>,
-    /// Shared node slab behind the slot FIFOs.
+    /// Shared node slab behind the bags.
     nodes: Vec<WheelNode<E>>,
     /// Free-list head into `nodes`.
     free: u32,
     /// Occupancy of `slots`, searched by FFS word-descent.
     occupied: HierBitmap,
+    /// Slot width is `2^shift` ns.
+    shift: u32,
     /// `slots.len() - 1`; slot count is a power of two.
     mask: u64,
-    /// Events with `at >= now + slots.len()` wait here until the horizon
-    /// reaches them.
+    /// The current slot's events (those of `now >> shift`) as
+    /// `(node key, event)`, in *reverse* pop order: the next event is the
+    /// last. Unused with 1 ns slots, whose bags are kept in pop order.
+    front: Vec<(u32, E)>,
+    /// Events in bags.
+    bagged: usize,
+    /// Events whose slot is at least `slots.len()` past the current one.
     overflow: BinaryHeap<Far<E>>,
     /// Cached `overflow.peek().at` (`u64::MAX` when empty), so the per-pop
     /// migration check is a register compare, not a heap access.
     overflow_min: Nanos,
-    /// Events currently stored in wheel slots.
-    wheel_len: usize,
-    /// Global insertion sequence (keys the overflow level).
+    /// Global insertion sequence.
     seq: u64,
     now: Nanos,
+    /// Pending events, counted apart from the three levels that hold them.
+    #[cfg(debug_assertions)]
+    pending: usize,
+    /// The lowest `(time, class)` the next pop may return: the last popped
+    /// one, lowered by any event scheduled since.
+    #[cfg(debug_assertions)]
+    floor: (Nanos, u8),
 }
 
 impl<E> Default for BucketedEventQueue<E> {
@@ -166,15 +220,34 @@ impl<E> Default for BucketedEventQueue<E> {
     }
 }
 
+// The schedule path and the 1 ns pop path are `#[inline(always)]`: left to
+// the inliner, `dcsim`'s Fig 19 loop ran ~4 % slower on this calendar than
+// on the plain 1 ns wheel it generalises; inlined, ~15 % faster. `pop`
+// itself stays a hint — forcing it into the caller slowed a hold-model
+// loop (the criterion `event_scheduler_hold` workload) by a quarter.
 impl<E> BucketedEventQueue<E> {
-    /// An empty scheduler at time zero with the default wheel span.
+    /// An empty calendar at time zero with the default span of 1 ns slots.
     pub fn new() -> Self {
         Self::with_slots(DEFAULT_WHEEL_SLOTS)
     }
 
-    /// An empty scheduler whose wheel spans `slots` nanoseconds (rounded up
+    /// An empty calendar whose wheel has `slots` slots of 1 ns (rounded up
     /// to a power of two, minimum 64).
     pub fn with_slots(slots: usize) -> Self {
+        Self::with_slot_shift(0, slots)
+    }
+
+    /// An empty calendar whose wheel has `slots` slots (rounded up to a
+    /// power of two, minimum 64) of `2^slot_shift` ns each: a horizon of
+    /// `slots << slot_shift` ns.
+    ///
+    /// # Panics
+    /// Panics if `slot_shift` exceeds [`MAX_SLOT_SHIFT`].
+    pub fn with_slot_shift(slot_shift: u32, slots: usize) -> Self {
+        assert!(
+            slot_shift <= MAX_SLOT_SHIFT,
+            "slot width 2^{slot_shift} ns is wider than 2^{MAX_SLOT_SHIFT}"
+        );
         let n = slots.next_power_of_two().max(64);
         BucketedEventQueue {
             slots: vec![
@@ -187,18 +260,29 @@ impl<E> BucketedEventQueue<E> {
             nodes: Vec::new(),
             free: NIL,
             occupied: HierBitmap::new(n),
+            shift: slot_shift,
             mask: n as u64 - 1,
+            front: Vec::new(),
+            bagged: 0,
             overflow: BinaryHeap::new(),
             overflow_min: u64::MAX,
-            wheel_len: 0,
             seq: 0,
             now: 0,
+            #[cfg(debug_assertions)]
+            pending: 0,
+            #[cfg(debug_assertions)]
+            floor: (0, 0),
         }
     }
 
-    /// Wheel span in nanoseconds (= slot count at 1 ns granularity).
+    /// Width of one slot in nanoseconds.
+    fn slot_width(&self) -> Nanos {
+        1 << self.shift
+    }
+
+    /// Wheel span in nanoseconds: slot count × slot width.
     pub fn horizon(&self) -> Nanos {
-        self.slots.len() as Nanos
+        (self.slots.len() as Nanos) << self.shift
     }
 
     /// Events currently parked at the overflow level (diagnostics).
@@ -206,43 +290,100 @@ impl<E> BucketedEventQueue<E> {
         self.overflow.len()
     }
 
-    #[inline]
-    fn slot_of(&self, at: Nanos) -> usize {
-        (at & self.mask) as usize
+    /// Schedules `event` at absolute time `at` in tie class `class`: among
+    /// events at one instant, lower classes pop first, and within a class
+    /// insertion order decides.
+    ///
+    /// # Panics
+    /// Panics if `at` is before the current virtual time.
+    #[inline(always)]
+    pub fn schedule_class(&mut self, at: Nanos, class: u8, event: E) {
+        assert!(
+            at >= self.now,
+            "event scheduled in the past ({at} < {})",
+            self.now
+        );
+        debug_assert!(self.seq < 1 << SEQ_BITS, "insertion sequence overflow");
+        let tie = u64::from(class) << SEQ_BITS | self.seq;
+        self.seq += 1;
+        #[cfg(debug_assertions)]
+        {
+            self.pending += 1;
+            self.floor = self.floor.min((at, class));
+        }
+        self.place(at, tie, event);
     }
 
-    /// Absolute timestamp of wheel slot `idx`, given that every wheel event
-    /// lies in `[now, now + horizon)`.
-    #[inline]
-    fn slot_time(&self, idx: usize) -> Nanos {
-        let base = self.now & !self.mask;
-        let t = base + idx as Nanos;
-        if t < self.now {
-            t + self.horizon()
+    /// Files an event at its level: front (current slot), bag (inside the
+    /// horizon) or overflow. `tie` is the overflow's `class << 56 | seq`.
+    #[inline(always)]
+    fn place(&mut self, at: Nanos, tie: u64, event: E) {
+        let ahead = (at >> self.shift) - (self.now >> self.shift);
+        if ahead > self.mask {
+            return self.push_far(Far { at, tie, event });
+        }
+        let offset = (at & (self.slot_width() - 1)) as u32;
+        let key = offset << CLASS_BITS | (tie >> SEQ_BITS) as u32;
+        if ahead == 0 && self.shift > 0 {
+            self.front_insert(key, event);
         } else {
-            t
+            self.bag_push(((at >> self.shift) & self.mask) as usize, key, event);
         }
     }
 
-    /// First occupied slot in wheel time order (at or after `now`, wrapping).
-    #[inline]
-    fn first_slot(&self) -> Option<usize> {
-        if self.wheel_len == 0 {
+    /// Parks an event beyond the horizon at the overflow level.
+    fn push_far(&mut self, far: Far<E>) {
+        self.overflow_min = self.overflow_min.min(far.at);
+        self.overflow.push(far);
+    }
+
+    /// Adds an event to the current slot's sorted front, to pop after
+    /// every equal key: those were all scheduled earlier.
+    fn front_insert(&mut self, key: u32, event: E) {
+        let i = self.front.partition_point(|&(k, _)| k > key);
+        self.front.insert(i, (key, event));
+    }
+
+    /// Absolute time at which wheel slot `idx` starts, given that every bag
+    /// holds a slot in `[cursor, cursor + slots)`.
+    #[inline(always)]
+    fn slot_start(&self, idx: usize) -> Nanos {
+        let cursor = self.now >> self.shift;
+        let mut slot = (cursor & !self.mask) + idx as u64;
+        if slot < cursor {
+            slot += self.mask + 1;
+        }
+        slot << self.shift
+    }
+
+    /// Absolute time of an event in the cursor slot with node key `key`.
+    #[inline(always)]
+    fn front_time(&self, key: u32) -> Nanos {
+        (self.now >> self.shift << self.shift) + Nanos::from(key >> CLASS_BITS)
+    }
+
+    /// First occupied bag in wheel order (from the cursor, wrapping).
+    #[inline(always)]
+    fn first_bag(&self) -> Option<usize> {
+        if self.bagged == 0 {
             return None;
         }
-        let start = self.slot_of(self.now);
+        let start = ((self.now >> self.shift) & self.mask) as usize;
         self.occupied
             .first_set_from(start)
             .or_else(|| self.occupied.first_set())
     }
 
-    /// Appends an event to slot `idx`'s FIFO through the shared slab.
-    fn slot_push(&mut self, idx: usize, event: E) {
+    /// Adds an event to slot `idx`'s bag through the shared slab: appended,
+    /// or — at 1 ns, below the tail's class — inserted in key order.
+    #[inline(always)]
+    fn bag_push(&mut self, idx: usize, key: u32, event: E) {
         let node = if self.free != NIL {
             let node = self.free;
             let n = &mut self.nodes[node as usize];
             self.free = n.next;
             n.next = NIL;
+            n.key = key;
             n.event = Some(event);
             node
         } else {
@@ -250,23 +391,52 @@ impl<E> BucketedEventQueue<E> {
             assert!(node < NIL, "slab index space is u32 with a sentinel");
             self.nodes.push(WheelNode {
                 next: NIL,
+                key,
                 event: Some(event),
             });
             node
         };
-        let list = &mut self.slots[idx];
+        self.bagged += 1;
+        let list = self.slots[idx];
         if list.tail == NIL {
-            list.head = node;
-        } else {
-            self.nodes[list.tail as usize].next = node;
+            self.slots[idx] = SlotList {
+                head: node,
+                tail: node,
+            };
+            self.occupied.set(idx);
+            return;
         }
-        list.tail = node;
-        self.occupied.set(idx);
-        self.wheel_len += 1;
+        let tail = &mut self.nodes[list.tail as usize];
+        if self.shift > 0 || tail.key <= key {
+            tail.next = node;
+            self.slots[idx].tail = node;
+        } else {
+            self.bag_insert_in_order(idx, node, key);
+        }
     }
 
-    /// Pops the oldest event of slot `idx`, maintaining the bitmap.
-    fn slot_pop(&mut self, idx: usize) -> E {
+    /// Links `node` into 1 ns bag `idx` behind every node of its class or
+    /// below: a bag at one instant stays in `(class, seq)` order. The bag's
+    /// tail outranks it, so the walk stops before the end.
+    #[cold]
+    fn bag_insert_in_order(&mut self, idx: usize, node: u32, key: u32) {
+        let mut prev = NIL;
+        let mut cur = self.slots[idx].head;
+        while self.nodes[cur as usize].key <= key {
+            prev = cur;
+            cur = self.nodes[cur as usize].next;
+        }
+        self.nodes[node as usize].next = cur;
+        if prev == NIL {
+            self.slots[idx].head = node;
+        } else {
+            self.nodes[prev as usize].next = node;
+        }
+    }
+
+    /// Pops the head of slot `idx`'s bag, maintaining the bitmap.
+    #[inline(always)]
+    fn bag_pop_head(&mut self, idx: usize) -> (u32, E) {
         let list = &mut self.slots[idx];
         let node = list.head;
         debug_assert_ne!(node, NIL, "bitmap said occupied");
@@ -279,21 +449,100 @@ impl<E> BucketedEventQueue<E> {
         }
         n.next = self.free;
         self.free = node;
-        self.wheel_len -= 1;
-        event
+        self.bagged -= 1;
+        (n.key, event)
     }
 
-    /// Moves every overflow event the horizon now covers into its slot.
-    /// Called after every advance of `now` so slot FIFOs accumulate in
-    /// global sequence order (see the module docs).
+    /// Moves every overflow event the horizon now covers into the wheel.
+    /// Called after every advance of the cursor, so the overflow only ever
+    /// holds events at least a whole horizon ahead (see the module docs).
     fn migrate_overflow(&mut self) {
-        let limit = self.now.saturating_add(self.horizon());
-        while self.overflow_min < limit {
+        let end = (self.now >> self.shift)
+            .saturating_add(self.mask + 1)
+            .saturating_mul(self.slot_width());
+        while self.overflow_min < end {
             let far = self.overflow.pop().expect("cached min says non-empty");
-            let idx = self.slot_of(far.at);
-            self.slot_push(idx, far.event);
             self.overflow_min = self.overflow.peek().map_or(u64::MAX, |f| f.at);
+            self.place(far.at, far.tie, far.event);
         }
+    }
+
+    /// Moves the cursor to the earliest overflow event when the wheel is
+    /// empty, and pulls everything the new horizon covers in. `None` when
+    /// nothing is pending at all.
+    fn jump(&mut self) -> Option<()> {
+        if self.overflow.is_empty() {
+            return None;
+        }
+        self.now = self.overflow_min;
+        self.migrate_overflow();
+        Some(())
+    }
+
+    /// Next event with 1 ns slots: the head of the first occupied bag.
+    #[inline(always)]
+    fn pop_exact(&mut self) -> Option<(Nanos, u32, E)> {
+        let idx = match self.first_bag() {
+            Some(idx) => idx,
+            None => {
+                self.jump()?;
+                self.first_bag().expect("migration filled the wheel")
+            }
+        };
+        let at = self.slot_start(idx);
+        let (key, event) = self.bag_pop_head(idx);
+        if at > self.now {
+            self.now = at;
+            if self.overflow_min < at.saturating_add(self.horizon()) {
+                self.migrate_overflow();
+            }
+        }
+        Some((at, key, event))
+    }
+
+    /// Next event with coarse slots: the front's head, after loading the
+    /// next occupied slot into the front if it ran dry.
+    fn pop_coarse(&mut self) -> Option<(Nanos, u32, E)> {
+        if self.front.is_empty() {
+            match self.first_bag() {
+                Some(idx) => {
+                    self.now = self.slot_start(idx);
+                    while self.slots[idx].head != NIL {
+                        let e = self.bag_pop_head(idx);
+                        self.front.push(e);
+                    }
+                    // Stable, so equal keys keep bag (= insertion) order;
+                    // then reversed, so the next event is the last.
+                    self.front.sort_by_key(|&(k, _)| k);
+                    self.front.reverse();
+                    self.migrate_overflow();
+                }
+                None => self.jump()?,
+            }
+        }
+        let (key, event) = self.front.pop()?;
+        Some((self.front_time(key), key, event))
+    }
+
+    /// Debug-build checks after every pop: the three levels account for
+    /// every pending event, and the popped `(time, class)` respects the
+    /// floor.
+    #[cfg(debug_assertions)]
+    fn check_pop(&mut self, at: Nanos, key: u32) {
+        self.pending -= 1;
+        debug_assert_eq!(
+            self.pending,
+            self.front.len() + self.bagged + self.overflow.len(),
+            "pending events must equal front + bags + overflow"
+        );
+        debug_assert_eq!(self.bagged == 0, self.occupied.count_ones() == 0);
+        let popped = (at, key as u8);
+        debug_assert!(
+            popped >= self.floor,
+            "popped {popped:?} below the floor {:?}",
+            self.floor
+        );
+        self.floor = popped;
     }
 }
 
@@ -302,60 +551,46 @@ impl<E> EventScheduler<E> for BucketedEventQueue<E> {
         self.now
     }
 
+    #[inline(always)]
     fn schedule(&mut self, at: Nanos, event: E) {
-        assert!(
-            at >= self.now,
-            "event scheduled in the past ({at} < {})",
-            self.now
-        );
-        let seq = self.seq;
-        self.seq += 1;
-        if at - self.now < self.horizon() {
-            let idx = self.slot_of(at);
-            self.slot_push(idx, event);
-        } else {
-            if at < self.overflow_min {
-                self.overflow_min = at;
-            }
-            self.overflow.push(Far { at, seq, event });
-        }
+        self.schedule_class(at, 0, event);
     }
 
+    #[inline]
     fn pop(&mut self) -> Option<(Nanos, E)> {
-        let idx = match self.first_slot() {
-            Some(idx) => idx,
-            None => {
-                // Wheel empty: jump the cursor to the earliest far-future
-                // event and pull everything the new horizon covers in.
-                if self.overflow_min == u64::MAX {
-                    return None;
-                }
-                self.now = self.overflow_min;
-                self.migrate_overflow();
-                self.first_slot().expect("migration filled the wheel")
-            }
+        let (at, _key, event) = if self.shift == 0 {
+            self.pop_exact()?
+        } else {
+            self.pop_coarse()?
         };
-        let at = self.slot_time(idx);
-        let event = self.slot_pop(idx);
-        if at > self.now {
-            self.now = at;
-            if self.overflow_min < at + self.horizon() {
-                self.migrate_overflow();
-            }
-        }
+        self.now = at;
+        #[cfg(debug_assertions)]
+        self.check_pop(at, _key);
         Some((at, event))
     }
 
     fn peek_time(&self) -> Option<Nanos> {
-        match self.first_slot() {
-            Some(idx) => Some(self.slot_time(idx)),
-            None if self.overflow_min == u64::MAX => None,
+        if let Some(&(key, _)) = self.front.last() {
+            return Some(self.front_time(key));
+        }
+        match self.first_bag() {
+            Some(idx) => {
+                let mut offset = u32::MAX;
+                let mut node = self.slots[idx].head;
+                while node != NIL {
+                    let n = &self.nodes[node as usize];
+                    offset = offset.min(n.key >> CLASS_BITS);
+                    node = n.next;
+                }
+                Some(self.slot_start(idx) + Nanos::from(offset))
+            }
+            None if self.overflow.is_empty() => None,
             None => Some(self.overflow_min),
         }
     }
 
     fn len(&self) -> usize {
-        self.wheel_len + self.overflow.len()
+        self.front.len() + self.bagged + self.overflow.len()
     }
 }
 
@@ -453,5 +688,48 @@ mod tests {
         assert!(!q.is_empty());
         q.pop();
         assert_eq!(q.len(), 2);
+    }
+
+    #[test]
+    fn lower_classes_pop_first_at_one_instant() {
+        for shift in [0, 10] {
+            let mut q = BucketedEventQueue::with_slot_shift(shift, 64);
+            q.schedule_class(40, 2, "source");
+            q.schedule_class(40, 1, "timer");
+            q.schedule_class(40, 0, "resume");
+            q.schedule_class(40, 1, "timer 2");
+            q.schedule_class(41, 0, "later");
+            assert_eq!(q.pop(), Some((40, "resume")), "shift {shift}");
+            // Scheduled at `now`, below the class still pending there.
+            q.schedule_class(40, 0, "resume 2");
+            let rest: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+            assert_eq!(
+                rest,
+                [
+                    (40, "resume 2"),
+                    (40, "timer"),
+                    (40, "timer 2"),
+                    (40, "source"),
+                    (41, "later")
+                ],
+                "shift {shift}"
+            );
+        }
+    }
+
+    #[test]
+    fn coarse_slots_sort_within_a_slot() {
+        // 1 µs slots: events in one slot pop by time, not by arrival.
+        let mut q = BucketedEventQueue::with_slot_shift(10, 64);
+        assert_eq!(q.horizon(), 65_536);
+        for (at, id) in [(2_000, 0), (1_500, 1), (1_800, 2), (1_500, 3), (900, 4)] {
+            q.schedule(at, id);
+        }
+        assert_eq!(q.peek_time(), Some(900));
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(
+            order,
+            [(900, 4), (1_500, 1), (1_500, 3), (1_800, 2), (2_000, 0)]
+        );
     }
 }
