@@ -24,14 +24,14 @@
 use std::time::{Duration, Instant};
 
 use eiffel_core::{
-    ApproxGradientQueue, BucketHeapQueue, CffsQueue, OracleAudit, OracleReport, RankedQueue,
-    RifoQueue, SpPifoQueue,
+    ApproxGradientQueue, ApproxParams, OracleAudit, OracleReport, QueueConfig, QueueKind,
+    RankedQueue,
 };
 use eiffel_sim::SplitMix64;
 
 /// SP-PIFO's queue count in the bake-off: 32 strict-priority FIFOs, the
 /// mid-size configuration of the SP-PIFO paper's evaluation (8–64).
-pub const SP_PIFO_QUEUES: usize = 32;
+pub const SP_PIFO_QUEUES: u32 = 32;
 
 /// The bake-off contenders: the three §5.2 incumbents plus the two
 /// integer-only related-work backends (SP-PIFO, RIFO) added in PR 7.
@@ -50,15 +50,25 @@ pub enum QueueUnderTest {
 }
 
 impl QueueUnderTest {
-    /// Display name matching the paper's legends.
-    pub fn name(self) -> &'static str {
+    /// The contender as a [`QueueKind`] over `nb` buckets: the approximate
+    /// queue takes the α its constructor would pick for `nb`.
+    pub fn kind(self, nb: usize) -> QueueKind {
         match self {
-            QueueUnderTest::BucketHeap => "BH",
-            QueueUnderTest::Cffs => "cFFS",
-            QueueUnderTest::Approx => "Approx",
-            QueueUnderTest::SpPifo => "SP-PIFO",
-            QueueUnderTest::Rifo => "RIFO",
+            QueueUnderTest::BucketHeap => QueueKind::BucketHeap,
+            QueueUnderTest::Cffs => QueueKind::Cffs,
+            QueueUnderTest::Approx => QueueKind::ApproxGradient {
+                alpha: ApproxParams::alpha_for_buckets(nb),
+            },
+            QueueUnderTest::SpPifo => QueueKind::SpPifo {
+                queues: SP_PIFO_QUEUES,
+            },
+            QueueUnderTest::Rifo => QueueKind::Rifo,
         }
+    }
+
+    /// Display name matching the paper's legends ([`QueueKind::label`]).
+    pub fn name(self) -> &'static str {
+        self.kind(0).label()
     }
 }
 
@@ -158,13 +168,7 @@ pub struct DrainResult {
 }
 
 fn build(kind: QueueUnderTest, nb: usize) -> Box<dyn RankedQueue<u64>> {
-    match kind {
-        QueueUnderTest::BucketHeap => Box::new(BucketHeapQueue::new(nb, 1)),
-        QueueUnderTest::Cffs => Box::new(CffsQueue::new(nb, 1, 0)),
-        QueueUnderTest::Approx => Box::new(ApproxGradientQueue::new(nb, 1)),
-        QueueUnderTest::SpPifo => Box::new(SpPifoQueue::new(SP_PIFO_QUEUES)),
-        QueueUnderTest::Rifo => Box::new(RifoQueue::new(nb)),
-    }
+    kind.kind(nb).build(QueueConfig::new(nb, 1, 0))
 }
 
 fn finish(q: &dyn RankedQueue<u64>, drained: u64, drain_time: Duration) -> DrainResult {

@@ -1462,14 +1462,14 @@ pub fn table1_rows() -> Vec<Vec<String>> {
 // backends, graceful-degradation curves vs fault intensity.
 // ---------------------------------------------------------------------------
 
-/// The five integer backends of the chaos bake-off, labelled as in the
-/// Figure 16/17/18 quality panels.
-pub const CHAOS_BACKENDS: [(&str, QueueKind); 5] = [
-    ("Approx", QueueKind::ApproxGradient { alpha: 64 }),
-    ("cFFS", QueueKind::Cffs),
-    ("BH", QueueKind::BucketHeap),
-    ("SP-PIFO", QueueKind::SpPifo { queues: 32 }),
-    ("RIFO", QueueKind::Rifo),
+/// The five integer backends of the chaos bake-off, labelled
+/// ([`QueueKind::label`]) as in the Figure 16/17/18 quality panels.
+pub const CHAOS_BACKENDS: [QueueKind; 5] = [
+    QueueKind::ApproxGradient { alpha: 64 },
+    QueueKind::Cffs,
+    QueueKind::BucketHeap,
+    QueueKind::SpPifo { queues: 32 },
+    QueueKind::Rifo,
 ];
 
 /// One fault family per degradation panel, every family the plan DSL has.
@@ -1712,14 +1712,15 @@ pub fn fig_chaos_report(args: &BenchArgs, scale: &ChaosScale) -> BenchReport {
             ),
             "intensity",
         );
-        for (name, _) in CHAOS_BACKENDS {
+        for kind in CHAOS_BACKENDS {
+            let name = kind.label();
             sw.add_series(format!("{name} Mpps"), "Mpps", 3);
             sw.add_series(format!("{name} sojourn"), "us", 1);
             sw.add_series(format!("{name} shed"), "per-1k", 2);
         }
         for &intensity in &scale.intensities {
             let mut row = Vec::with_capacity(CHAOS_BACKENDS.len() * 3);
-            for (name, kind) in CHAOS_BACKENDS {
+            for kind in CHAOS_BACKENDS {
                 let cell = chaos_cell(kind, scale, family, intensity);
                 row.extend([cell.mpps, cell.mean_sojourn_us, cell.shed_per_k]);
                 totals.absorb(&cell.report);
@@ -1727,7 +1728,7 @@ pub fn fig_chaos_report(args: &BenchArgs, scale: &ChaosScale) -> BenchReport {
                 // cell (cFFS under the hardest stall storm) recorded in
                 // full per-core detail.
                 if matches!(family, FaultFamily::Stall)
-                    && name == "cFFS"
+                    && kind == QueueKind::Cffs
                     && Some(&intensity) == scale.intensities.last()
                 {
                     showcase = Some(cell.report.clone());
@@ -1755,10 +1756,10 @@ pub fn fig_chaos_report(args: &BenchArgs, scale: &ChaosScale) -> BenchReport {
         "rank-adversarial drain quality (SP-PIFO ramp attack)",
         &["backend", "pops", "inv/pop", "avg rank err", "max inv"],
     );
-    for (name, kind) in CHAOS_BACKENDS {
+    for kind in CHAOS_BACKENDS {
         let rep = adversarial_quality(kind, adv, 32, 2_048, 4);
         t.rows.push(vec![
-            name.to_string(),
+            kind.label().to_string(),
             rep.pops.to_string(),
             format!("{:.4}", rep.inversions as f64 / rep.pops.max(1) as f64),
             format!("{:.3}", rep.rank_error_sum as f64 / rep.pops.max(1) as f64),

@@ -399,233 +399,6 @@ pub fn measure_rate_sharded<S: BessScheduler>(
     })
 }
 
-/// Outcome of a threaded busy-poll run.
-#[derive(Debug, Clone)]
-pub struct ThreadedRateReport {
-    /// Aggregate across all shard threads, over the **wall-clock** measured
-    /// window.
-    pub total: RateReport,
-    /// Per-shard achieved packets per second.
-    pub per_shard_pps: Vec<f64>,
-    /// Times the feeder found a shard's ring full (backpressure, retried).
-    pub ring_full_retries: u64,
-}
-
-/// Per-shard statistics slots for [`measure_rate_threaded`].
-const TC_PKTS: usize = 0;
-const TC_BYTES: usize = 1;
-type RateCounters = eiffel_core::CounterBlock<2>;
-
-/// Busy-polls `shards.len()` scheduler instances on **real OS threads**,
-/// one scheduler per thread, flows pinned to shards by
-/// [`eiffel_sim::shard_of`] — the actual multi-worker BESS deployment shape,
-/// where [`measure_rate_sharded`] only time-slices one core.
-///
-/// The calling thread plays the feeder: it keeps each shard's backlog
-/// (SPSC ring + scheduler) topped up to its share of `occupancy`, reading
-/// each shard's transmit counters lock-free ([`eiffel_core::CounterBlock`])
-/// to size the refill. Shard threads pop arrivals from their ring, drain
-/// their scheduler in `batch`es, and publish packet/byte counters; there
-/// are no locks anywhere — rings and single-writer atomics only.
-///
-/// On a machine with fewer physical cores than `shards.len() + 1` the
-/// threads time-slice, so the aggregate reads as the machine's total
-/// scheduling capacity (like the round-robin harness) rather than a
-/// per-core multiple; per-shard rates are reported for that reading.
-pub fn measure_rate_threaded<S: BessScheduler + Send>(
-    shards: Vec<S>,
-    gen: &mut RoundRobinGen,
-    stamp: &mut impl FnMut(&mut Packet),
-    occupancy: usize,
-    duration: Duration,
-    batch: usize,
-) -> ThreadedRateReport {
-    use eiffel_core::ring::SpscRing;
-
-    assert!(!shards.is_empty(), "at least one shard");
-    let n_shards = shards.len();
-    let batch = batch.max(1);
-    let ring_cap = (occupancy / n_shards).max(BATCH) * 2;
-
-    let mut data_tx = Vec::with_capacity(n_shards);
-    let mut data_rx = Vec::with_capacity(n_shards);
-    let mut stop_tx = Vec::with_capacity(n_shards);
-    let mut stop_rx = Vec::with_capacity(n_shards);
-    for _ in 0..n_shards {
-        let (tx, rx) = SpscRing::<Packet>::new(ring_cap);
-        data_tx.push(tx);
-        data_rx.push(rx);
-        let (tx, rx) = SpscRing::<()>::new(1);
-        stop_tx.push(tx);
-        stop_rx.push(rx);
-    }
-    let counters: Vec<RateCounters> = (0..n_shards).map(|_| RateCounters::new()).collect();
-
-    // Pre-fill each scheduler to its occupancy share at now = 0, exactly
-    // like the single-threaded harnesses, and remember how much each shard
-    // holds (ring + scheduler) for the refill arithmetic.
-    let mut shards = shards;
-    let mut pushed = vec![0u64; n_shards];
-    {
-        let now0 = 0;
-        let mut held = 0;
-        while held < occupancy {
-            let mut p = gen.next(now0);
-            stamp(&mut p);
-            let s = eiffel_sim::shard_of(p.flow, n_shards);
-            shards[s].enqueue(now0, p);
-            pushed[s] += 1;
-            held += 1;
-        }
-    }
-
-    let warmup = duration.mul_f64(WARMUP_FRACTION);
-    let total = duration + warmup;
-    let start = Instant::now();
-    let mut ring_full_retries = 0u64;
-    let mut warm_pkts = vec![0u64; n_shards];
-    let mut warm_bytes = vec![0u64; n_shards];
-    let mut warming = true;
-    let mut measured_from = Duration::ZERO;
-    let mut measured_secs = 0.0f64;
-    let mut finals: Vec<(u64, u64)> = Vec::with_capacity(n_shards);
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(n_shards);
-        for (i, mut sched) in shards.into_iter().enumerate().rev() {
-            let mut ring = data_rx.pop().expect("one ring per shard");
-            let mut stop = stop_rx.pop().expect("one stop ring per shard");
-            let stats = &counters[i];
-            handles.push(scope.spawn(move || {
-                let mut inbuf: Vec<Packet> = Vec::with_capacity(BATCH);
-                let mut outbuf: Vec<Packet> = Vec::with_capacity(batch);
-                let mut pkts = 0u64;
-                let mut bytes = 0u64;
-                loop {
-                    if stop.pop().is_some() {
-                        break;
-                    }
-                    let now = start.elapsed().as_nanos() as Nanos;
-                    // Arrivals from the feeder.
-                    inbuf.clear();
-                    if ring.pop_batch(BATCH, &mut inbuf) > 0 {
-                        sched.enqueue_batch(now, &mut inbuf);
-                    }
-                    // One drain batch per clock read, as in the
-                    // single-threaded harnesses.
-                    outbuf.clear();
-                    let drained = sched.dequeue_batch(now, batch, &mut outbuf);
-                    if drained == 0 {
-                        // Nothing eligible: share the core (single-CPU
-                        // machines run the feeder on the same core).
-                        std::thread::yield_now();
-                        continue;
-                    }
-                    pkts += drained as u64;
-                    for p in &outbuf {
-                        bytes += p.bytes as u64;
-                    }
-                    stats.set(TC_PKTS, pkts);
-                    stats.set(TC_BYTES, bytes);
-                }
-                (pkts, bytes)
-            }));
-        }
-        handles.reverse();
-
-        // Feeder loop: replace what left, routed by the flow hash exactly
-        // as in `measure_rate_sharded`. A packet whose ring is full waits
-        // in a per-shard pending buffer (it counts as held, so the global
-        // occupancy target still bounds everything outstanding).
-        let mut pending: Vec<std::collections::VecDeque<Packet>> =
-            vec![std::collections::VecDeque::new(); n_shards];
-        loop {
-            let elapsed = start.elapsed();
-            if elapsed >= total {
-                break;
-            }
-            if warming && elapsed >= warmup {
-                warming = false;
-                measured_from = elapsed;
-                for (s, c) in counters.iter().enumerate() {
-                    warm_pkts[s] = c.read(TC_PKTS);
-                    warm_bytes[s] = c.read(TC_BYTES);
-                }
-            }
-            let now = elapsed.as_nanos() as Nanos;
-            let mut fed = false;
-            // Flush pending arrivals first (FIFO per shard).
-            for (s, q) in pending.iter_mut().enumerate() {
-                while let Some(p) = q.pop_front() {
-                    match data_tx[s].push(p) {
-                        Ok(()) => {
-                            pushed[s] += 1;
-                            fed = true;
-                        }
-                        Err(back) => {
-                            q.push_front(back);
-                            ring_full_retries += 1;
-                            break;
-                        }
-                    }
-                }
-            }
-            // Held anywhere = (pushed − transmitted) + still pending.
-            let held: u64 = (0..n_shards)
-                .map(|s| {
-                    pushed[s].saturating_sub(counters[s].read(TC_PKTS)) + pending[s].len() as u64
-                })
-                .sum();
-            for _ in held..occupancy as u64 {
-                let mut p = gen.next(now);
-                stamp(&mut p);
-                let s = eiffel_sim::shard_of(p.flow, n_shards);
-                match data_tx[s].push(p) {
-                    Ok(()) => {
-                        pushed[s] += 1;
-                        fed = true;
-                    }
-                    Err(back) => {
-                        ring_full_retries += 1;
-                        pending[s].push_back(back);
-                    }
-                }
-            }
-            if !fed {
-                std::thread::yield_now();
-            }
-        }
-        let end = start.elapsed();
-        measured_secs = (end - measured_from).as_secs_f64();
-        for tx in stop_tx.iter_mut() {
-            let _ = tx.push(());
-        }
-        for h in handles {
-            finals.push(h.join().expect("shard thread panicked"));
-        }
-    });
-
-    let secs = measured_secs.max(1e-9);
-    let mut per_shard_pps = Vec::with_capacity(n_shards);
-    let mut pkts_total = 0u64;
-    let mut bytes_total = 0u64;
-    for (s, &(pkts, bytes)) in finals.iter().enumerate() {
-        let p = pkts.saturating_sub(warm_pkts[s]);
-        pkts_total += p;
-        bytes_total += bytes.saturating_sub(warm_bytes[s]);
-        per_shard_pps.push(p as f64 / secs);
-    }
-    ThreadedRateReport {
-        total: RateReport {
-            pps: pkts_total as f64 / secs,
-            mbps: bytes_total as f64 * 8.0 / secs / 1e6,
-            packets: pkts_total,
-        },
-        per_shard_pps,
-        ring_full_retries,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -733,36 +506,6 @@ mod tests {
         assert!(r.total.pps > 100_000.0, "got {}", r.total.pps);
         // Every shard with flows hashed to it made progress.
         assert!(r.per_shard_pps.iter().all(|&p| p > 0.0));
-    }
-
-    #[test]
-    fn threaded_rate_runs_real_threads_and_limits_bind() {
-        let _serial = wall_clock();
-        // 2 shard threads, rate-limited schedulers: the wall-clock rate
-        // must hug the configured aggregate (160 Mbps), proving the rings
-        // keep the backlog fed and the limit clocks run on real time.
-        let specs = flat_specs(16, 160);
-        let shards: Vec<HClockEiffel> = (0..2).map(|_| HClockEiffel::new(&specs)).collect();
-        let mut gen = RoundRobinGen::new(16, 1_500);
-        let r = measure_rate_threaded(
-            shards,
-            &mut gen,
-            &mut |_| {},
-            64,
-            Duration::from_millis(200),
-            8,
-        );
-        assert_eq!(r.per_shard_pps.len(), 2);
-        assert!(
-            r.total.mbps > 100.0 && r.total.mbps < 220.0,
-            "threaded rate {:.1} Mbps should hug the 160 Mbps limit",
-            r.total.mbps
-        );
-        let sum: f64 = r.per_shard_pps.iter().sum();
-        assert!(
-            (sum - r.total.pps).abs() / r.total.pps.max(1.0) < 1e-6,
-            "per-shard rates sum to the aggregate"
-        );
     }
 
     #[test]

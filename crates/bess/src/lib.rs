@@ -25,8 +25,8 @@ pub mod pktgen;
 pub mod tc;
 
 pub use harness::{
-    measure_rate, measure_rate_batched, measure_rate_sharded, measure_rate_threaded, BessScheduler,
-    RateReport, ShardedRateReport, ThreadedRateReport, BATCH, WARMUP_FRACTION,
+    measure_rate, measure_rate_batched, measure_rate_sharded, BessScheduler, RateReport,
+    ShardedRateReport, BATCH, WARMUP_FRACTION,
 };
 pub use hclock::{FlowSpec, HClockEiffel, HClockHeap};
 pub use pfabric::{PfabricEiffel, PfabricHeap};

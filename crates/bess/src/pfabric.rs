@@ -15,7 +15,7 @@
 use std::collections::VecDeque;
 
 use eiffel_core::{QueueConfig, QueueKind};
-use eiffel_pifo::policies::{ObjFlowPolicy, Pfabric};
+use eiffel_pifo::policies::Pfabric;
 use eiffel_pifo::FlowScheduler;
 use eiffel_sim::{Nanos, Packet};
 
@@ -24,7 +24,7 @@ pub const MAX_REMAINING: u64 = 1 << 20;
 
 /// Eiffel's pFabric: per-flow transaction + on-dequeue ranking over HFFS.
 pub struct PfabricEiffel {
-    inner: FlowScheduler<Box<dyn ObjFlowPolicy>>,
+    inner: FlowScheduler,
 }
 
 impl PfabricEiffel {
@@ -34,7 +34,7 @@ impl PfabricEiffel {
             // `with_kind` (not `new`) so the scheduler knows the HFFS
             // backing is exact and keeps the batched-dequeue shortcut.
             inner: FlowScheduler::with_kind(
-                Box::new(Pfabric) as Box<dyn ObjFlowPolicy>,
+                Box::new(Pfabric),
                 QueueKind::HierFfs,
                 QueueConfig::new(MAX_REMAINING as usize, 1, 0),
             ),

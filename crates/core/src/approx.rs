@@ -812,41 +812,12 @@ impl<T> BucketCore<T> for ApproxGradientQueue<T> {
         self.occupy(k);
     }
 
-    fn pop_min_bucket(&mut self) -> Option<(usize, u64, T)> {
-        let (k, est_k) = self.locate_for_dequeue()?;
-        self.record_lookup(k, est_k);
-        let bkt = self.nb - 1 - k;
-        let (rank, item) = self.buckets.pop(bkt)?;
-        self.vacate(k); // per-element count; accumulators move only on the 1→0 edge
-        Some((bkt, rank, item))
-    }
-
-    fn pop_min_batch(&mut self, max: usize, out: &mut Vec<(u64, T)>) -> usize {
-        RankedQueue::dequeue_batch(self, max, out)
-    }
-
-    fn pop_max_bucket(&mut self) -> Option<(usize, u64, T)> {
-        let k = self.occ.first_set()?;
-        let bkt = self.nb - 1 - k;
-        let (rank, item) = self.buckets.pop(bkt)?;
-        self.vacate(k);
-        Some((bkt, rank, item))
-    }
-
     fn min_bucket(&self) -> Option<usize> {
         self.locate_max_offset().map(|(k, _)| self.nb - 1 - k)
     }
 
-    fn core_len(&self) -> usize {
-        self.buckets.len()
-    }
-
     fn core_num_buckets(&self) -> usize {
         self.nb
-    }
-
-    fn core_stats(&self) -> QueueStats {
-        self.stats
     }
 }
 

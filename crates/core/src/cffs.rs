@@ -20,50 +20,20 @@
 
 use std::marker::PhantomData;
 
-use crate::hffs::HierFfsQueue;
+use crate::bucketed::HierFfsQueue;
 use crate::recip::Reciprocal;
 use crate::traits::{EnqueueError, QueueStats, RankedQueue};
 
-/// A fixed-range bucketed queue addressed purely by bucket index, usable as
-/// one half of a [`Circular`] queue.
-pub trait BucketCore<T> {
+/// A fixed-range queue usable as one half of a [`Circular`] queue: its
+/// [`RankedQueue`] paths serve the half, and the window addresses it by
+/// bucket index.
+pub trait BucketCore<T>: RankedQueue<T> {
     /// Appends to bucket `bucket`'s FIFO (bucket is in `[0, num_buckets)`).
     fn push_bucket(&mut self, bucket: usize, rank: u64, item: T);
-    /// Pops from the minimum non-empty bucket, reporting which bucket it was.
-    fn pop_min_bucket(&mut self) -> Option<(usize, u64, T)>;
-    /// Pops up to `max` elements in repeated-[`BucketCore::pop_min_bucket`]
-    /// order, appending `(rank, item)` pairs to `out` and returning the
-    /// count. Cores override this to amortize the min-find across a batch.
-    fn pop_min_batch(&mut self, max: usize, out: &mut Vec<(u64, T)>) -> usize {
-        let mut n = 0;
-        while n < max {
-            match self.pop_min_bucket() {
-                Some((_, rank, item)) => {
-                    out.push((rank, item));
-                    n += 1;
-                }
-                None => break,
-            }
-        }
-        n
-    }
-    /// Pops from the maximum non-empty bucket, reporting which bucket it
-    /// was. Default `None` = the core has no exact max path; cores with an
-    /// occupancy bitmap override it so the circular wrapper can serve
-    /// priority-drop eviction ([`RankedQueue::dequeue_max`]).
-    fn pop_max_bucket(&mut self) -> Option<(usize, u64, T)> {
-        None
-    }
     /// Index of the minimum non-empty bucket.
     fn min_bucket(&self) -> Option<usize>;
-    /// Stored element count.
-    fn core_len(&self) -> usize;
     /// Bucket count.
     fn core_num_buckets(&self) -> usize;
-    /// Approximation counters, if the core is approximate.
-    fn core_stats(&self) -> QueueStats {
-        QueueStats::default()
-    }
 }
 
 /// Moving-window queue built from two fixed-range halves (Figure 4).
@@ -140,7 +110,7 @@ impl<C: BucketCore<T>, T> Circular<C, T> {
     /// Swaps the primary and secondary pointers and advances the window —
     /// the paper's "circulation". Only legal when the primary is drained.
     fn rotate(&mut self) {
-        debug_assert_eq!(self.primary_ref().core_len(), 0);
+        debug_assert_eq!(self.primary_ref().len(), 0);
         self.primary = 1 - self.primary;
         self.h_index += self.span();
     }
@@ -154,10 +124,7 @@ impl<C: BucketCore<T>, T> RankedQueue<T> for Circular<C, T> {
         // is no ordering to preserve, and jumping the window forward keeps
         // the rank exact. The window never moves backwards, and a non-empty
         // queue never re-bases (rotation is the only other advance).
-        if rank >= self.h_index + 2 * span
-            && self.primary_ref().core_len() == 0
-            && self.secondary_ref().core_len() == 0
-        {
+        if rank >= self.h_index + 2 * span && self.is_empty() {
             self.h_index = rank - self.recip.rem(rank);
         }
         let (half, bucket) = if rank < self.h_index {
@@ -182,31 +149,29 @@ impl<C: BucketCore<T>, T> RankedQueue<T> for Circular<C, T> {
     }
 
     fn dequeue_min(&mut self) -> Option<(u64, T)> {
-        if self.primary_ref().core_len() == 0 {
-            if self.secondary_ref().core_len() == 0 {
+        if self.primary_ref().is_empty() {
+            if self.secondary_ref().is_empty() {
                 return None;
             }
             self.rotate();
         }
-        let (_, rank, item) = self.halves[self.primary]
-            .pop_min_bucket()
-            .expect("primary non-empty after rotation");
-        Some((rank, item))
+        let pair = self.halves[self.primary].dequeue_min();
+        Some(pair.expect("primary non-empty after rotation"))
     }
 
-    /// Batched fast path: drains the primary half through its core's
-    /// [`BucketCore::pop_min_batch`], rotating into the secondary exactly
+    /// Batched fast path: drains the primary half through its own
+    /// [`RankedQueue::dequeue_batch`], rotating into the secondary exactly
     /// when repeated [`RankedQueue::dequeue_min`] would.
     fn dequeue_batch(&mut self, max: usize, out: &mut Vec<(u64, T)>) -> usize {
         let mut n = 0;
         while n < max {
-            if self.primary_ref().core_len() == 0 {
-                if self.secondary_ref().core_len() == 0 {
+            if self.primary_ref().is_empty() {
+                if self.secondary_ref().is_empty() {
                     break;
                 }
                 self.rotate();
             }
-            let got = self.halves[self.primary].pop_min_batch(max - n, out);
+            let got = self.halves[self.primary].dequeue_batch(max - n, out);
             // Fail as loudly as dequeue_min would: a half that claims
             // elements but pops none must not spin this loop forever.
             assert!(got > 0, "primary non-empty after rotation");
@@ -220,12 +185,12 @@ impl<C: BucketCore<T>, T> RankedQueue<T> for Circular<C, T> {
     /// overflow), so the maximum lives wherever the secondary is non-empty.
     /// No rotation — that stays the exclusive business of the min path.
     fn dequeue_max(&mut self) -> Option<(u64, T)> {
-        let half = if self.secondary_ref().core_len() > 0 {
-            1 - self.primary
-        } else {
+        let half = if self.secondary_ref().is_empty() {
             self.primary
+        } else {
+            1 - self.primary
         };
-        self.halves[half].pop_max_bucket().map(|(_, r, t)| (r, t))
+        self.halves[half].dequeue_max()
     }
 
     fn peek_min_rank(&self) -> Option<u64> {
@@ -238,13 +203,13 @@ impl<C: BucketCore<T>, T> RankedQueue<T> for Circular<C, T> {
     }
 
     fn len(&self) -> usize {
-        self.halves[0].core_len() + self.halves[1].core_len()
+        self.halves[0].len() + self.halves[1].len()
     }
 
     fn stats(&self) -> QueueStats {
         let mut s = self.stats;
         for h in &self.halves {
-            let cs = h.core_stats();
+            let cs = h.stats();
             s.lookups += cs.lookups;
             s.error_sum += cs.error_sum;
             s.est_hits += cs.est_hits;
@@ -287,9 +252,17 @@ impl<T> CffsQueue<T> {
     /// descent cost of their hot loop; see
     /// `BENCH_fig12_hclock_scaling.json`.
     pub fn dequeue_min_le(&mut self, bound: u64) -> Option<(u64, T)> {
-        let (half, base) = if self.primary_ref().core_len() > 0 {
+        let b = self.due_bucket(bound)?;
+        let pair = self.halves[self.primary].pop_bucket(b);
+        Some(pair.expect("min_bucket said non-empty"))
+    }
+
+    /// The minimum bucket if its edge is ≤ `bound`, rotating first when it
+    /// lies in the secondary half; `None` (window untouched) otherwise.
+    fn due_bucket(&mut self, bound: u64) -> Option<usize> {
+        let (half, base) = if !self.primary_ref().is_empty() {
             (self.primary, self.h_index)
-        } else if self.secondary_ref().core_len() > 0 {
+        } else if !self.secondary_ref().is_empty() {
             (1 - self.primary, self.h_index + self.span())
         } else {
             return None;
@@ -301,10 +274,7 @@ impl<T> CffsQueue<T> {
         if half != self.primary {
             self.rotate();
         }
-        let (rank, item) = self.halves[half]
-            .pop_bucket(b)
-            .expect("min_bucket said non-empty");
-        Some((rank, item))
+        Some(b)
     }
 
     /// Pops up to `max` elements whose bucket-edge rank is ≤ `bound`, in
@@ -313,7 +283,7 @@ impl<T> CffsQueue<T> {
     ///
     /// This is the shaper-side analogue of [`RankedQueue::dequeue_batch`]:
     /// one bitmap descent locates the minimum due bucket, whose FIFO is then
-    /// popped directly ([`HierFfsQueue::pop_bucket`], O(1) per element)
+    /// popped directly ([`crate::Bucketed::pop_bucket`], O(1) per element)
     /// until it empties, the batch fills, or the next bucket's edge passes
     /// `bound`. Timer-driven hosts drain everything due at a softirq through
     /// this path, paying the descent once per occupied bucket instead of
@@ -321,20 +291,9 @@ impl<T> CffsQueue<T> {
     pub fn dequeue_le_batch(&mut self, bound: u64, max: usize, out: &mut Vec<(u64, T)>) -> usize {
         let mut n = 0;
         while n < max {
-            let (half, base) = if self.primary_ref().core_len() > 0 {
-                (self.primary, self.h_index)
-            } else if self.secondary_ref().core_len() > 0 {
-                (1 - self.primary, self.h_index + self.span())
-            } else {
-                break;
+            let Some(b) = self.due_bucket(bound) else {
+                break; // empty, or the earliest pending bucket is not yet due
             };
-            let b = self.halves[half].min_bucket().expect("half is non-empty");
-            if base + b as u64 * self.recip.divisor() > bound {
-                break; // earliest pending bucket is not yet due
-            }
-            if half != self.primary {
-                self.rotate();
-            }
             // Drain the due bucket's FIFO without further descents.
             while n < max {
                 match self.halves[self.primary].pop_bucket(b) {

@@ -14,10 +14,13 @@
 //! "an equivalent of FFS-based queue with more expensive operations (division
 //! vs bit ops)" — whose real payoff is that the algebra admits the
 //! *approximation* in [`crate::approx`].
+//!
+//! Both are [`Occupancy`] indexes of the one bucket store
+//! ([`crate::bucketed`]): bucket `b` is stored at internal index `(n−1)−b`,
+//! so Theorem 1's max-index lookup names the minimum-rank bucket — packet
+//! schedulers dequeue smallest-rank-first.
 
-use crate::buckets::Buckets;
-use crate::recip::Reciprocal;
-use crate::traits::{EnqueueError, EnqueueErrorKind, RankedQueue};
+use crate::bucketed::{Bucketed, Occupancy};
 
 /// Curvature accumulator over up to 64 bucket indices: the exact Gradient
 /// Queue meta-data (replaces one FFS bitmap word).
@@ -105,14 +108,15 @@ impl GradientWord {
 
 /// Hierarchical curvature meta-data: a fanout-64 tree of [`GradientWord`]s.
 #[derive(Debug, Clone)]
-struct HierGradient {
+pub struct HierGradient {
     /// `levels[0]` is the leaf level (one index per bucket).
     levels: Vec<Vec<GradientWord>>,
     len: usize,
 }
 
 impl HierGradient {
-    fn new(len: usize) -> Self {
+    /// An all-empty tree over `len` buckets.
+    pub fn new(len: usize) -> Self {
         assert!(len > 0);
         let mut levels = Vec::new();
         let mut n = len;
@@ -125,30 +129,6 @@ impl HierGradient {
             n = words;
         }
         HierGradient { levels, len }
-    }
-
-    fn set(&mut self, i: usize) {
-        debug_assert!(i < self.len);
-        let mut idx = i;
-        for level in &mut self.levels {
-            let transition = level[idx / 64].set((idx % 64) as u32);
-            if !transition {
-                break;
-            }
-            idx /= 64;
-        }
-    }
-
-    fn clear(&mut self, i: usize) {
-        debug_assert!(i < self.len);
-        let mut idx = i;
-        for level in &mut self.levels {
-            let now_empty = level[idx / 64].clear((idx % 64) as u32);
-            if !now_empty {
-                break;
-            }
-            idx /= 64;
-        }
     }
 
     fn max_index(&self) -> Option<usize> {
@@ -165,21 +145,63 @@ impl HierGradient {
     }
 }
 
-/// Exact gradient **min**-queue over at most 64 buckets.
-///
-/// Bucket `b` maps to internal index `(n−1)−b`, so Theorem 1's max-index
-/// lookup yields the minimum-rank bucket — packet schedulers dequeue
-/// smallest-rank-first.
-#[derive(Debug, Clone)]
-pub struct GradientQueue<T> {
-    word: GradientWord,
-    buckets: Buckets<T>,
-    granularity: Reciprocal,
-    base: u64,
-    nb: usize,
+/// The single word as a bucket index over at most 64 buckets, bucket `b`
+/// at internal index `63 − b` (the reversal is monotone, so any fixed
+/// `n − 1 − b` names the same minimum). No max path: that stays the FFS
+/// queues' business, as it always was for the gradient queue.
+impl Occupancy for GradientWord {
+    #[inline]
+    fn set(&mut self, b: usize) {
+        GradientWord::set(self, 63 - b as u32);
+    }
+
+    #[inline]
+    fn clear(&mut self, b: usize) {
+        GradientWord::clear(self, 63 - b as u32);
+    }
+
+    #[inline]
+    fn first_set(&self) -> Option<usize> {
+        self.max_index().map(|j| 63 - j as usize)
+    }
 }
 
-impl<T> GradientQueue<T> {
+/// The tree as a bucket index over any number of buckets, bucket `b` at
+/// internal index `len − 1 − b`. A word's empty↔non-empty transition
+/// propagates to its parent.
+impl Occupancy for HierGradient {
+    fn set(&mut self, b: usize) {
+        let mut idx = self.len - 1 - b;
+        for level in &mut self.levels {
+            if !level[idx / 64].set((idx % 64) as u32) {
+                break;
+            }
+            idx /= 64;
+        }
+    }
+
+    fn clear(&mut self, b: usize) {
+        let mut idx = self.len - 1 - b;
+        for level in &mut self.levels {
+            if !level[idx / 64].clear((idx % 64) as u32) {
+                break;
+            }
+            idx /= 64;
+        }
+    }
+
+    fn first_set(&self) -> Option<usize> {
+        self.max_index().map(|j| self.len - 1 - j)
+    }
+}
+
+/// Exact gradient min-queue over at most 64 buckets.
+pub type GradientQueue<T> = Bucketed<GradientWord, T>;
+
+/// Exact gradient min-queue over any number of buckets (fanout-64 hierarchy).
+pub type HierGradientQueue<T> = Bucketed<HierGradient, T>;
+
+impl<T> Bucketed<GradientWord, T> {
     /// Creates a queue covering ranks `[0, n × granularity)`, `n ≤ 64`.
     pub fn new(n: usize, granularity: u64) -> Self {
         Self::with_base(n, granularity, 0)
@@ -191,78 +213,11 @@ impl<T> GradientQueue<T> {
             n > 0 && n <= 64,
             "single gradient word covers at most 64 buckets"
         );
-        assert!(granularity > 0);
-        GradientQueue {
-            word: GradientWord::new(),
-            buckets: Buckets::new(n),
-            granularity: Reciprocal::new(granularity),
-            base,
-            nb: n,
-        }
-    }
-
-    fn bucket_of(&self, rank: u64) -> Option<usize> {
-        let off = self.granularity.div(rank.checked_sub(self.base)?);
-        if (off as usize) < self.nb {
-            Some(off as usize)
-        } else {
-            None
-        }
-    }
-
-    fn internal(&self, bucket: usize) -> u32 {
-        (self.nb - 1 - bucket) as u32
+        Self::with_index(GradientWord::new(), n, granularity, base)
     }
 }
 
-impl<T> RankedQueue<T> for GradientQueue<T> {
-    fn enqueue(&mut self, rank: u64, item: T) -> Result<(), EnqueueError<T>> {
-        match self.bucket_of(rank) {
-            Some(b) => {
-                self.buckets.push(b, rank, item);
-                self.word.set(self.internal(b));
-                Ok(())
-            }
-            None => Err(EnqueueError {
-                kind: EnqueueErrorKind::OutOfRange,
-                rank,
-                item,
-            }),
-        }
-    }
-
-    fn dequeue_min(&mut self) -> Option<(u64, T)> {
-        let j = self.word.max_index()?;
-        let b = self.nb - 1 - j as usize;
-        let out = self.buckets.pop(b);
-        if self.buckets.bucket_is_empty(b) {
-            self.word.clear(j);
-        }
-        out
-    }
-
-    fn peek_min_rank(&self) -> Option<u64> {
-        self.word
-            .max_index()
-            .map(|j| self.base + (self.nb - 1 - j as usize) as u64 * self.granularity.divisor())
-    }
-
-    fn len(&self) -> usize {
-        self.buckets.len()
-    }
-}
-
-/// Exact gradient min-queue over any number of buckets (fanout-64 hierarchy).
-#[derive(Debug, Clone)]
-pub struct HierGradientQueue<T> {
-    grad: HierGradient,
-    buckets: Buckets<T>,
-    granularity: Reciprocal,
-    base: u64,
-    nb: usize,
-}
-
-impl<T> HierGradientQueue<T> {
+impl<T> Bucketed<HierGradient, T> {
     /// Creates a queue covering ranks `[0, n × granularity)`.
     pub fn new(n: usize, granularity: u64) -> Self {
         Self::with_base(n, granularity, 0)
@@ -270,67 +225,14 @@ impl<T> HierGradientQueue<T> {
 
     /// Creates a queue covering ranks `[base, base + n × granularity)`.
     pub fn with_base(n: usize, granularity: u64, base: u64) -> Self {
-        assert!(n > 0);
-        assert!(granularity > 0);
-        HierGradientQueue {
-            grad: HierGradient::new(n),
-            buckets: Buckets::new(n),
-            granularity: Reciprocal::new(granularity),
-            base,
-            nb: n,
-        }
-    }
-
-    fn bucket_of(&self, rank: u64) -> Option<usize> {
-        let off = self.granularity.div(rank.checked_sub(self.base)?);
-        if (off as usize) < self.nb {
-            Some(off as usize)
-        } else {
-            None
-        }
-    }
-}
-
-impl<T> RankedQueue<T> for HierGradientQueue<T> {
-    fn enqueue(&mut self, rank: u64, item: T) -> Result<(), EnqueueError<T>> {
-        match self.bucket_of(rank) {
-            Some(b) => {
-                self.buckets.push(b, rank, item);
-                self.grad.set(self.nb - 1 - b);
-                Ok(())
-            }
-            None => Err(EnqueueError {
-                kind: EnqueueErrorKind::OutOfRange,
-                rank,
-                item,
-            }),
-        }
-    }
-
-    fn dequeue_min(&mut self) -> Option<(u64, T)> {
-        let j = self.grad.max_index()?;
-        let b = self.nb - 1 - j;
-        let out = self.buckets.pop(b);
-        if self.buckets.bucket_is_empty(b) {
-            self.grad.clear(j);
-        }
-        out
-    }
-
-    fn peek_min_rank(&self) -> Option<u64> {
-        self.grad
-            .max_index()
-            .map(|j| self.base + (self.nb - 1 - j) as u64 * self.granularity.divisor())
-    }
-
-    fn len(&self) -> usize {
-        self.buckets.len()
+        Self::with_index(HierGradient::new(n), n, granularity, base)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::{EnqueueErrorKind, RankedQueue};
 
     /// Theorem 1, exhaustively for every occupancy pattern of 16 indices and
     /// pseudo-randomly for 64-bit patterns: `ceil(b/a)` equals the highest

@@ -10,17 +10,28 @@
 //!
 //! ## Queue families
 //!
+//! Every fixed-range integer queue is one bucket store, [`Bucketed`], over
+//! an [`Occupancy`] index — the paper's thesis that the structures differ
+//! only in how they find the lowest non-empty bucket:
+//!
+//! | Type | Paper | Index | Range | Min-find cost |
+//! |---|---|---|---|---|
+//! | [`FfsQueue`] | Fig 2 | `u64` word | fixed, ≤ 64 buckets | one `trailing_zeros` |
+//! | [`HierFfsQueue`] | Fig 3 (PIQ-style) | [`HierBitmap`] | fixed, any N | `log₆₄ N` word ops |
+//! | [`GradientQueue`] | §3.1.2 exact | [`GradientWord`] | fixed, ≤ 64 buckets | one `leading_zeros` (Theorem 1) |
+//! | [`HierGradientQueue`] | §3.1.2 exact | [`HierGradient`] | fixed, any N | one per level |
+//! | [`BucketHeapQueue`] | §5.2 baseline "BH" | [`HeapIndex`] | fixed | O(log N) heap op per transition |
+//!
+//! Over that store sit the rank mappings and the queues with their own
+//! lookup:
+//!
 //! | Type | Paper | Range | Min-find cost |
 //! |---|---|---|---|
-//! | [`FfsQueue`] | Fig 2 | fixed, ≤ 64 buckets | one `trailing_zeros` |
-//! | [`HierFfsQueue`] | Fig 3 (PIQ-style) | fixed, any N | `log₆₄ N` word ops |
-//! | [`CffsQueue`] | Fig 4, the flagship **cFFS** | moving window | `log₆₄ N` word ops |
-//! | [`GradientQueue`] | §3.1.2 exact | fixed, ≤ 64/level | one division |
-//! | [`ApproxGradientQueue`] | §3.1.2 approximate | fixed, ~52·α buckets | integer add/compare, no division (+ search on miss) |
+//! | [`CffsQueue`] | Fig 4, the flagship **cFFS**: two [`HierFfsQueue`]s behind [`Circular`] | moving window | `log₆₄ N` word ops |
+//! | [`RifoQueue`] | RIFO (related work, PAPERS.md): one [`HierFfsQueue`], adaptive rank→bucket map | unbounded, adaptive | `log₆₄ N` word ops |
+//! | [`ApproxGradientQueue`] | §3.1.2 approximate (own store: the index is the estimator) | fixed, ~52·α buckets | integer add/compare, no division (+ search on miss) |
 //! | [`CircularApproxQueue`] | §3.1.2 "as with cFFS" | moving window | integer add/compare, no division |
-//! | [`BucketHeapQueue`] | §5.2 baseline "BH" | fixed | O(log N) heap op |
 //! | [`SpPifoQueue`] | SP-PIFO (related work, PAPERS.md) | unbounded, adaptive | one `trailing_zeros` |
-//! | [`RifoQueue`] | RIFO (related work, PAPERS.md) | unbounded, adaptive | `log₆₄ N` word ops |
 //! | [`HeapPq`], [`TreePq`] | §2 baselines | unbounded | O(log n) comparisons |
 //! | [`TimingWheel`] | Carousel's structure | moving window | none (time-driven only) |
 //!
@@ -53,15 +64,13 @@
 
 pub mod approx;
 pub mod bitmap;
-pub mod bucket_heap;
+pub mod bucketed;
 pub mod buckets;
 pub mod cffs;
 pub mod comparison;
 pub mod counters;
-pub mod ffs;
 pub mod gradient;
 pub mod guide;
-pub mod hffs;
 pub mod hierbitmap;
 pub mod membudget;
 pub mod oracle;
@@ -74,14 +83,12 @@ pub mod traits;
 pub mod word;
 
 pub use approx::{ApproxGradientQueue, ApproxParams, CircularApproxQueue};
-pub use bucket_heap::BucketHeapQueue;
+pub use bucketed::{BucketHeapQueue, Bucketed, FfsQueue, HeapIndex, HierFfsQueue, Occupancy};
 pub use cffs::{CffsQueue, Circular};
 pub use comparison::{HeapPq, TreePq};
 pub use counters::{CachePadded, CounterBlock};
-pub use ffs::FfsQueue;
-pub use gradient::{GradientQueue, GradientWord, HierGradientQueue};
+pub use gradient::{GradientQueue, GradientWord, HierGradient, HierGradientQueue};
 pub use guide::{recommend, Recommendation, UseCase};
-pub use hffs::HierFfsQueue;
 pub use hierbitmap::HierBitmap;
 pub use membudget::{DegradeTier, MemBudget, FLOW_SETUP_BYTES, PKT_SLAB_BYTES};
 pub use oracle::{count_inversions, OracleAudit, OracleReport};

@@ -14,21 +14,21 @@
 //! The mapping divisor changes rarely (only when `hi − lo` crosses a
 //! multiple of `N`), so the division is served by a cached
 //! [`Reciprocal`] — the hot path is subtract + multiply-shift, integer
-//! only. Min-find is the same [`HierBitmap`] FFS descent as
-//! [`crate::HierFfsQueue`]; elements within a bucket are FIFO, so rank
-//! error is bounded by the bucket width `g − 1` for any fixed range (the
-//! conformance suite pins exactly that invariant).
+//! only. Storage and min-find are the one bucket store over a
+//! [`crate::HierFfsQueue`], addressed by bucket index; elements within a
+//! bucket are FIFO, so rank error is bounded by the bucket width `g − 1`
+//! for any fixed range (the conformance suite pins exactly that
+//! invariant).
 
-use crate::buckets::Buckets;
-use crate::hierbitmap::HierBitmap;
+use crate::bucketed::HierFfsQueue;
+use crate::cffs::BucketCore;
 use crate::recip::Reciprocal;
 use crate::traits::{EnqueueError, QueueStats, RankedQueue};
 
 /// Adaptive rank-range bucket queue (integer-only mapping, FFS min-find).
 #[derive(Debug, Clone)]
 pub struct RifoQueue<T> {
-    bitmap: HierBitmap,
-    buckets: Buckets<T>,
+    store: HierFfsQueue<T>,
     /// Live rank range covered by the bucket array.
     lo: u64,
     hi: u64,
@@ -43,8 +43,7 @@ impl<T> RifoQueue<T> {
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "need at least one bucket");
         RifoQueue {
-            bitmap: HierBitmap::new(n),
-            buckets: Buckets::new(n),
+            store: HierFfsQueue::new(n, 1),
             lo: 0,
             hi: 0,
             recip: Reciprocal::new(1),
@@ -54,7 +53,7 @@ impl<T> RifoQueue<T> {
 
     /// Number of buckets.
     pub fn num_buckets(&self) -> usize {
-        self.buckets.num_buckets()
+        self.store.num_buckets()
     }
 
     /// The live rank range `(lo, hi)` and bucket width `g` — diagnostics
@@ -66,7 +65,7 @@ impl<T> RifoQueue<T> {
     /// Bucket for `rank`, adapting the range. Only valid to call on the
     /// enqueue path (it may rebase or widen).
     fn map(&mut self, rank: u64) -> usize {
-        if self.buckets.is_empty() {
+        if self.store.is_empty() {
             // Fresh range: the whole array ahead of this rank.
             self.lo = rank;
             self.hi = rank;
@@ -98,58 +97,27 @@ impl<T> RankedQueue<T> for RifoQueue<T> {
     /// are clamped into bucket 0 and counted in `clamped_low`.
     fn enqueue(&mut self, rank: u64, item: T) -> Result<(), EnqueueError<T>> {
         let b = self.map(rank);
-        self.buckets.push(b, rank, item);
-        self.bitmap.set(b);
+        self.store.push_bucket(b, rank, item);
         Ok(())
     }
 
     fn dequeue_min(&mut self) -> Option<(u64, T)> {
-        let b = self.bitmap.first_set()?;
-        let out = self.buckets.pop(b);
-        if self.buckets.bucket_is_empty(b) {
-            self.bitmap.clear(b);
-        }
-        out
+        self.store.dequeue_min()
     }
 
-    /// Batched fast path, same shape as [`crate::HierFfsQueue`]'s: drain
-    /// the minimum bucket's FIFO, then step to the next occupied bucket
-    /// with `first_set_from` instead of a fresh root descent.
     fn dequeue_batch(&mut self, max: usize, out: &mut Vec<(u64, T)>) -> usize {
-        let mut n = 0;
-        let Some(mut b) = self.bitmap.first_set() else {
-            return 0;
-        };
-        'batch: while n < max {
-            loop {
-                let pair = self.buckets.pop(b).expect("bitmap said non-empty");
-                out.push(pair);
-                n += 1;
-                if self.buckets.bucket_is_empty(b) {
-                    self.bitmap.clear(b);
-                    break;
-                }
-                if n >= max {
-                    break 'batch;
-                }
-            }
-            match self.bitmap.first_set_from(b + 1) {
-                Some(next) => b = next,
-                None => break,
-            }
-        }
-        n
+        self.store.dequeue_batch(max, out)
     }
 
     /// The rank the next dequeue will return (FIFO front of the minimum
     /// occupied bucket).
     fn peek_min_rank(&self) -> Option<u64> {
-        let b = self.bitmap.first_set()?;
-        self.buckets.front_rank(b)
+        let b = self.store.index.first_set()?;
+        self.store.buckets.front_rank(b)
     }
 
     fn len(&self) -> usize {
-        self.buckets.len()
+        self.store.len()
     }
 
     fn stats(&self) -> QueueStats {

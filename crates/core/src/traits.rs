@@ -283,93 +283,73 @@ impl QueueKind {
     /// Comparison-based kinds ignore the geometry (they are unbounded);
     /// fixed-range kinds cover `[start_rank, start_rank + span)`; circular
     /// kinds start their window at `start_rank`.
-    pub fn build<T: 'static>(self, cfg: QueueConfig) -> Box<dyn RankedQueue<T>> {
+    ///
+    /// # Panics
+    /// [`QueueKind::Ffs`] panics above 64 buckets (one word).
+    pub fn build<T: Send + 'static>(self, cfg: QueueConfig) -> Box<dyn RankedQueue<T>> {
+        self.build_send(cfg)
+    }
+
+    /// [`QueueKind::build`] with the `Send` bound kept on the trait object,
+    /// for harnesses that move the queue onto another thread (the chaos
+    /// runtime's per-shard ranked qdiscs).
+    pub fn build_send<T: Send + 'static>(self, cfg: QueueConfig) -> Box<dyn RankedQueue<T> + Send> {
+        let QueueConfig {
+            num_buckets: n,
+            granularity: g,
+            start_rank: base,
+        } = cfg;
         match self {
-            QueueKind::Ffs => Box::new(crate::FfsQueue::with_base(cfg.granularity, cfg.start_rank)),
-            QueueKind::HierFfs => Box::new(crate::HierFfsQueue::with_base(
-                cfg.num_buckets,
-                cfg.granularity,
-                cfg.start_rank,
-            )),
-            QueueKind::Cffs => Box::new(crate::CffsQueue::new(
-                cfg.num_buckets,
-                cfg.granularity,
-                cfg.start_rank,
-            )),
-            QueueKind::Gradient => Box::new(crate::HierGradientQueue::with_base(
-                cfg.num_buckets,
-                cfg.granularity,
-                cfg.start_rank,
-            )),
-            QueueKind::ApproxGradient { alpha } => Box::new(crate::ApproxGradientQueue::with_base(
-                cfg.num_buckets,
-                cfg.granularity,
-                cfg.start_rank,
-                alpha,
-            )),
-            QueueKind::CircularApprox { alpha } => Box::new(crate::CircularApproxQueue::new(
-                cfg.num_buckets,
-                cfg.granularity,
-                cfg.start_rank,
-                alpha,
-            )),
-            QueueKind::BucketHeap => Box::new(crate::BucketHeapQueue::with_base(
-                cfg.num_buckets,
-                cfg.granularity,
-                cfg.start_rank,
-            )),
+            QueueKind::Ffs => Box::new(crate::FfsQueue::with_buckets(n, g, base)),
+            QueueKind::HierFfs => Box::new(crate::HierFfsQueue::with_base(n, g, base)),
+            QueueKind::Cffs => Box::new(crate::CffsQueue::new(n, g, base)),
+            QueueKind::Gradient => Box::new(crate::HierGradientQueue::with_base(n, g, base)),
+            QueueKind::ApproxGradient { alpha } => {
+                Box::new(crate::ApproxGradientQueue::with_base(n, g, base, alpha))
+            }
+            QueueKind::CircularApprox { alpha } => {
+                Box::new(crate::CircularApproxQueue::new(n, g, base, alpha))
+            }
+            QueueKind::BucketHeap => Box::new(crate::BucketHeapQueue::with_base(n, g, base)),
             QueueKind::SpPifo { queues } => Box::new(crate::SpPifoQueue::new(queues as usize)),
-            QueueKind::Rifo => Box::new(crate::RifoQueue::new(cfg.num_buckets)),
+            QueueKind::Rifo => Box::new(crate::RifoQueue::new(n)),
             QueueKind::BinaryHeap => Box::new(crate::HeapPq::new()),
             QueueKind::BTree => Box::new(crate::TreePq::new()),
         }
     }
 
-    /// [`QueueKind::build`] with a `Send` bound on the trait object, for
-    /// harnesses that move the queue onto another thread (the chaos
-    /// runtime's per-shard ranked qdiscs). Kept as a separate constructor
-    /// — rather than tightening `build` — because `eiffel-pifo` builds
-    /// queues over element types it never sends across threads.
-    pub fn build_send<T: Send + 'static>(self, cfg: QueueConfig) -> Box<dyn RankedQueue<T> + Send> {
+    /// The name reports and figure legends use (the paper's where it has
+    /// one: "cFFS", "BH", "Approx").
+    pub fn label(self) -> &'static str {
         match self {
-            QueueKind::Ffs => Box::new(crate::FfsQueue::with_base(cfg.granularity, cfg.start_rank)),
-            QueueKind::HierFfs => Box::new(crate::HierFfsQueue::with_base(
-                cfg.num_buckets,
-                cfg.granularity,
-                cfg.start_rank,
-            )),
-            QueueKind::Cffs => Box::new(crate::CffsQueue::new(
-                cfg.num_buckets,
-                cfg.granularity,
-                cfg.start_rank,
-            )),
-            QueueKind::Gradient => Box::new(crate::HierGradientQueue::with_base(
-                cfg.num_buckets,
-                cfg.granularity,
-                cfg.start_rank,
-            )),
-            QueueKind::ApproxGradient { alpha } => Box::new(crate::ApproxGradientQueue::with_base(
-                cfg.num_buckets,
-                cfg.granularity,
-                cfg.start_rank,
-                alpha,
-            )),
-            QueueKind::CircularApprox { alpha } => Box::new(crate::CircularApproxQueue::new(
-                cfg.num_buckets,
-                cfg.granularity,
-                cfg.start_rank,
-                alpha,
-            )),
-            QueueKind::BucketHeap => Box::new(crate::BucketHeapQueue::with_base(
-                cfg.num_buckets,
-                cfg.granularity,
-                cfg.start_rank,
-            )),
-            QueueKind::SpPifo { queues } => Box::new(crate::SpPifoQueue::new(queues as usize)),
-            QueueKind::Rifo => Box::new(crate::RifoQueue::new(cfg.num_buckets)),
-            QueueKind::BinaryHeap => Box::new(crate::HeapPq::new()),
-            QueueKind::BTree => Box::new(crate::TreePq::new()),
+            QueueKind::Ffs => "FFS",
+            QueueKind::HierFfs => "hFFS",
+            QueueKind::Cffs => "cFFS",
+            QueueKind::Gradient => "Gradient",
+            QueueKind::ApproxGradient { .. } => "Approx",
+            QueueKind::CircularApprox { .. } => "cApprox",
+            QueueKind::BucketHeap => "BH",
+            QueueKind::SpPifo { .. } => "SP-PIFO",
+            QueueKind::Rifo => "RIFO",
+            QueueKind::BinaryHeap => "BinaryHeap",
+            QueueKind::BTree => "BTree",
         }
+    }
+
+    /// Whether the kind places every rank in its true bucket and answers
+    /// min-queries exactly. Circular windows clamp overdue ranks into the
+    /// current minimum bucket, approximate queues may answer from a
+    /// neighbouring bucket, and the adaptive mappers reorder by design.
+    pub fn places_exactly(self) -> bool {
+        matches!(
+            self,
+            QueueKind::Ffs
+                | QueueKind::HierFfs
+                | QueueKind::Gradient
+                | QueueKind::BucketHeap
+                | QueueKind::BinaryHeap
+                | QueueKind::BTree
+        )
     }
 }
 
@@ -410,6 +390,12 @@ mod tests {
             QueueKind::BTree,
         ];
         for kind in kinds {
+            // One word: the FFS kind covers at most 64 buckets.
+            let cfg = if kind == QueueKind::Ffs {
+                QueueConfig::new(64, 10, 0)
+            } else {
+                cfg
+            };
             let mut q: Box<dyn RankedQueue<u32>> = kind.build(cfg);
             assert!(q.is_empty(), "{kind:?}");
             q.enqueue(40, 1).unwrap();
@@ -445,5 +431,21 @@ mod tests {
         want.sort_unstable();
         got.sort_unstable();
         assert_eq!(got, want, "every enqueued rank comes back out");
+    }
+
+    /// `QueueKind::Ffs` honours `num_buckets` up to one word.
+    #[test]
+    fn ffs_kind_honours_bucket_count() {
+        let mut q: Box<dyn RankedQueue<u32>> = QueueKind::Ffs.build(QueueConfig::new(8, 10, 100));
+        q.enqueue(179, 1).unwrap();
+        let err = q.enqueue(180, 2).unwrap_err();
+        assert_eq!(err.kind, EnqueueErrorKind::OutOfRange, "bucket 8 of 8");
+        assert_eq!(q.dequeue_min(), Some((179, 1)));
+    }
+
+    #[test]
+    #[should_panic(expected = "an FFS queue covers at most 64 buckets (one word), not 65")]
+    fn ffs_kind_refuses_more_than_a_word() {
+        let _: Box<dyn RankedQueue<u32>> = QueueKind::Ffs.build(QueueConfig::new(65, 1, 0));
     }
 }

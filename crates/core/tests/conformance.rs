@@ -95,6 +95,12 @@ proptest! {
             QueueKind::BinaryHeap,
             QueueKind::BTree,
         ] {
+            // The FFS kind is one word: 64 buckets.
+            let cfg = if kind == QueueKind::Ffs {
+                QueueConfig::new(64, 1, 0)
+            } else {
+                cfg
+            };
             let rep = audit_kind(kind, cfg, &script);
             prop_assert_eq!(rep.rank_error_sum, 0, "{:?} rank error", kind);
             prop_assert_eq!(rep.max_rank_error, 0, "{:?} max rank error", kind);
@@ -363,6 +369,12 @@ proptest! {
             QueueKind::Gradient,
             QueueKind::BucketHeap,
         ] {
+            // The FFS kind is one word: 64 buckets.
+            let cfg = if kind == QueueKind::Ffs {
+                QueueConfig::new(64, 1, 0)
+            } else {
+                cfg
+            };
             let mut q: Box<dyn RankedQueue<u64>> = kind.build(cfg);
             for ranks in &cycles {
                 let mut audit = OracleAudit::new();

@@ -32,7 +32,7 @@ pub const PARK: u64 = u64::MAX;
 
 /// Per-flow state visible to policies.
 #[derive(Debug)]
-pub struct FlowState<D> {
+pub struct FlowState {
     /// Flow identity.
     pub id: FlowId,
     /// Packets of this flow, in arrival order (never reordered within a
@@ -42,15 +42,13 @@ pub struct FlowState<D> {
     pub rank: u64,
     /// Bytes currently queued.
     pub bytes: u64,
-    /// Policy-private state (virtual times, deficit counters…).
-    pub data: D,
     /// Stamp matching the flow's one valid entry in the flow queue.
     epoch: u64,
     /// Whether a valid entry for this flow is present in the flow queue.
     active: bool,
 }
 
-impl<D> FlowState<D> {
+impl FlowState {
     /// Number of queued packets (`f.len` in the paper's LQF example).
     pub fn len(&self) -> usize {
         self.fifo.len()
@@ -74,19 +72,18 @@ impl<D> FlowState<D> {
 
 /// A scheduling policy over flows.
 ///
-/// Both hooks may read the whole flow state (length, head packet, private
-/// data) — this is exactly the expressiveness PIFO lacks.
+/// Both hooks may read the whole flow state (length, head packet) — this
+/// is exactly the expressiveness PIFO lacks. Per-flow bookkeeping lives
+/// inside the policy (keyed by [`FlowState::id`]), so the trait is object
+/// safe: schedulers and tree leaves hold a `Box<dyn FlowPolicy>`.
 pub trait FlowPolicy {
-    /// Policy-private per-flow state.
-    type Data: Default;
-
     /// New rank for flow `f` after packet `p` was appended to it.
-    fn rank_on_enqueue(&mut self, now: Nanos, f: &FlowState<Self::Data>, p: &Packet) -> u64;
+    fn rank_on_enqueue(&mut self, now: Nanos, f: &FlowState, p: &Packet) -> u64;
 
     /// New rank for flow `f` after its head packet was removed (`f` is
     /// non-empty). Returning `None` keeps the current rank — policies that
     /// only rank on enqueue (plain PIFO behaviour) use the default.
-    fn rank_on_dequeue(&mut self, now: Nanos, f: &FlowState<Self::Data>) -> Option<u64> {
+    fn rank_on_dequeue(&mut self, now: Nanos, f: &FlowState) -> Option<u64> {
         let _ = (now, f);
         None
     }
@@ -94,7 +91,7 @@ pub trait FlowPolicy {
     /// Observes every served packet, *including* the one that empties its
     /// flow ([`FlowPolicy::rank_on_dequeue`] only fires while the flow
     /// stays backlogged). Virtual-time policies charge their clocks here.
-    fn on_serve(&mut self, now: Nanos, f: &FlowState<Self::Data>, p: &Packet) {
+    fn on_serve(&mut self, now: Nanos, f: &FlowState, p: &Packet) {
         let _ = (now, f, p);
     }
 
@@ -113,7 +110,7 @@ pub trait FlowPolicy {
 
     /// Current rank of backlogged flow `f` at `now`, for flows surfaced by
     /// [`FlowPolicy::advance`]. Defaults to keeping the stored rank.
-    fn rank_now(&mut self, now: Nanos, f: &FlowState<Self::Data>) -> u64 {
+    fn rank_now(&mut self, now: Nanos, f: &FlowState) -> u64 {
         let _ = now;
         f.rank
     }
@@ -139,10 +136,10 @@ const STALE_FLOOR: usize = 64;
 
 /// The per-flow transaction: one ranked queue ordering flows, one FIFO per
 /// flow.
-pub struct FlowScheduler<P: FlowPolicy> {
-    policy: P,
+pub struct FlowScheduler {
+    policy: Box<dyn FlowPolicy>,
     queue: Box<dyn RankedQueue<FlowEntry>>,
-    flows: Vec<FlowState<P::Data>>,
+    flows: Vec<FlowState>,
     packets: usize,
     /// Stale entries skipped so far (observability for tests/benches).
     stale_skipped: u64,
@@ -160,9 +157,9 @@ pub struct FlowScheduler<P: FlowPolicy> {
     batch_shortcut: bool,
 }
 
-impl<P: FlowPolicy> FlowScheduler<P> {
+impl FlowScheduler {
     /// Creates a scheduler with the given flow-ordering queue.
-    pub fn new(policy: P, queue: Box<dyn RankedQueue<FlowEntry>>) -> Self {
+    pub fn new(policy: Box<dyn FlowPolicy>, queue: Box<dyn RankedQueue<FlowEntry>>) -> Self {
         FlowScheduler {
             policy,
             queue,
@@ -176,27 +173,17 @@ impl<P: FlowPolicy> FlowScheduler<P> {
     }
 
     /// Creates a scheduler with a queue chosen via [`QueueKind`], enabling
-    /// the batched-dequeue shortcut exactly when the kind is safe for it.
-    pub fn with_kind(policy: P, kind: QueueKind, cfg: QueueConfig) -> Self {
+    /// the batched-dequeue shortcut exactly when the kind is safe for it
+    /// ([`QueueKind::places_exactly`]: a clamping window would violate FIFO
+    /// order against the minimum bucket's occupants, an approximate
+    /// min-find could answer from a neighbouring bucket).
+    pub fn with_kind(policy: Box<dyn FlowPolicy>, kind: QueueKind, cfg: QueueConfig) -> Self {
         let mut s = Self::new(policy, kind.build(cfg));
-        // Safe kinds place every rank in its true bucket and answer
-        // min-queries exactly. Unsafe: circular windows clamp overdue
-        // ranks into the current minimum bucket (FIFO order against its
-        // occupants would be violated), approximate queues may answer the
-        // min-find from a neighbouring bucket.
-        s.batch_shortcut = matches!(
-            kind,
-            QueueKind::Ffs
-                | QueueKind::HierFfs
-                | QueueKind::Gradient
-                | QueueKind::BucketHeap
-                | QueueKind::BinaryHeap
-                | QueueKind::BTree
-        );
+        s.batch_shortcut = kind.places_exactly();
         s
     }
 
-    fn flow_mut(&mut self, id: FlowId) -> &mut FlowState<P::Data> {
+    fn flow_mut(&mut self, id: FlowId) -> &mut FlowState {
         let idx = id as usize;
         while self.flows.len() <= idx {
             let new_id = self.flows.len() as FlowId;
@@ -205,7 +192,6 @@ impl<P: FlowPolicy> FlowScheduler<P> {
                 fifo: VecDeque::new(),
                 rank: 0,
                 bytes: 0,
-                data: P::Data::default(),
                 epoch: 0,
                 active: false,
             });
@@ -214,7 +200,7 @@ impl<P: FlowPolicy> FlowScheduler<P> {
     }
 
     /// Read access to a flow's state (allocating it if never seen).
-    pub fn flow(&mut self, id: FlowId) -> &FlowState<P::Data> {
+    pub fn flow(&mut self, id: FlowId) -> &FlowState {
         self.flow_mut(id)
     }
 
@@ -236,11 +222,6 @@ impl<P: FlowPolicy> FlowScheduler<P> {
     /// Entries the flow queue holds right now, live and stale.
     pub fn queue_entries(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Access to the policy (e.g. to adjust weights at runtime).
-    pub fn policy_mut(&mut self) -> &mut P {
-        &mut self.policy
     }
 
     /// Enqueues `p` into its flow, re-ranking the flow per the policy.
@@ -465,11 +446,10 @@ mod tests {
     struct SqfPolicy;
 
     impl FlowPolicy for SqfPolicy {
-        type Data = ();
-        fn rank_on_enqueue(&mut self, _now: Nanos, f: &FlowState<()>, _p: &Packet) -> u64 {
+        fn rank_on_enqueue(&mut self, _now: Nanos, f: &FlowState, _p: &Packet) -> u64 {
             f.len() as u64
         }
-        fn rank_on_dequeue(&mut self, _now: Nanos, f: &FlowState<()>) -> Option<u64> {
+        fn rank_on_dequeue(&mut self, _now: Nanos, f: &FlowState) -> Option<u64> {
             Some(f.len() as u64)
         }
     }
@@ -478,8 +458,9 @@ mod tests {
         Packet::mtu(id, flow, 0)
     }
 
-    fn sched() -> FlowScheduler<SqfPolicy> {
-        FlowScheduler::with_kind(SqfPolicy, QueueKind::Cffs, QueueConfig::new(1_024, 1, 0))
+    fn sched() -> FlowScheduler {
+        let cfg = QueueConfig::new(1_024, 1, 0);
+        FlowScheduler::with_kind(Box::new(SqfPolicy), QueueKind::Cffs, cfg)
     }
 
     #[test]
@@ -536,8 +517,9 @@ mod tests {
     /// A scheduler whose backing enables the strict-minimum batch
     /// shortcut (fixed-range exact queue), unlike `sched()`'s moving
     /// window.
-    fn sched_exact() -> FlowScheduler<SqfPolicy> {
-        FlowScheduler::with_kind(SqfPolicy, QueueKind::HierFfs, QueueConfig::new(1_024, 1, 0))
+    fn sched_exact() -> FlowScheduler {
+        let cfg = QueueConfig::new(1_024, 1, 0);
+        FlowScheduler::with_kind(Box::new(SqfPolicy), QueueKind::HierFfs, cfg)
     }
 
     #[test]
@@ -549,13 +531,13 @@ mod tests {
     }
 
     fn dequeue_batch_matches_repeated_dequeue_on(
-        mut batched: FlowScheduler<SqfPolicy>,
-        mut single: FlowScheduler<SqfPolicy>,
+        mut batched: FlowScheduler,
+        mut single: FlowScheduler,
     ) {
         // Mirror two schedulers through an interleaved workload; the
         // batched one must emit the exact same packet sequence.
         let mut x: u64 = 0x5eed;
-        let mut feed = |b: &mut FlowScheduler<SqfPolicy>, s: &mut FlowScheduler<SqfPolicy>, k| {
+        let mut feed = |b: &mut FlowScheduler, s: &mut FlowScheduler, k| {
             for _ in 0..k {
                 x ^= x << 13;
                 x ^= x >> 7;

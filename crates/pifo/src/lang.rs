@@ -43,9 +43,10 @@ use std::collections::HashMap;
 use eiffel_core::{QueueConfig, QueueKind};
 use eiffel_sim::Rate;
 
+use crate::flow::FlowPolicy;
 use crate::policies::{
-    ChildPriority, CurveSpec, Edf, Fifo, FlowFifo, HClockFlow, HfscCurves, Lqf, Lstf,
-    ObjFlowPolicy, Pfabric, QosSpec, SlackRank, Stfq, StrictPriority, Wfq, LQF_CAP,
+    ChildPriority, CurveSpec, Edf, Fifo, FlowFifo, HClockFlow, HfscCurves, Lqf, Lstf, Pfabric,
+    QosSpec, SlackRank, Stfq, StrictPriority, Wfq, LQF_CAP,
 };
 use crate::tree::{NodeId, PifoTree, TreeBuilder};
 
@@ -378,9 +379,9 @@ pub fn compile(policy: &str) -> Result<PifoTree, ParseError> {
                 )
             }
             "flow:fifo" | "flow:lqf" | "flow:pfabric" => {
-                let (policy, queue): (Box<dyn ObjFlowPolicy>, _) = match spec.kind.as_str() {
+                let (policy, queue): (Box<dyn FlowPolicy>, _) = match spec.kind.as_str() {
                     "flow:fifo" => (
-                        Box::new(FlowFifo::default()) as Box<dyn ObjFlowPolicy>,
+                        Box::new(FlowFifo::default()),
                         QueueKind::Cffs.build(QueueConfig::new(4_096, 1, 0)),
                     ),
                     "flow:lqf" => (

@@ -46,8 +46,7 @@ pub mod tree;
 pub use flow::{FlowPolicy, FlowScheduler, FlowState, PARK};
 pub use lang::{compile, ParseError};
 pub use policies::{
-    CurveSpec, HClockFlow, HfscCurves, Lstf, NodeProgram, ObjFlowPolicy, QosSpec, RankCtx,
-    Transaction, Wfq,
+    CurveSpec, HClockFlow, HfscCurves, Lstf, NodeProgram, QosSpec, RankCtx, Transaction, Wfq,
 };
 pub use scheduler::{Annotator, EiffelScheduler};
 pub use shaper::{Shaper, TokenStamper};

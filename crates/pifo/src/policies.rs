@@ -3,7 +3,7 @@
 //! Node programs ([`NodeProgram`]) are PIFO's rank functions — "compute a
 //! rank on enqueue" logic, one per tree node, optionally observing
 //! dequeues (virtual-time clocks) and advancing with wall time. Per-flow
-//! policies ([`ObjFlowPolicy`]) are Eiffel's extension: they may re-rank a
+//! policies ([`FlowPolicy`]) are Eiffel's extension: they may re-rank a
 //! whole flow on enqueue *and* dequeue (Figures 6 and 14 of the paper are
 //! implemented verbatim here as [`Lqf`] and [`Pfabric`]), observe every
 //! service, and park flows entirely (non-work-conserving gates).
@@ -381,80 +381,8 @@ impl NodeProgram for Lstf {
 }
 
 // ---------------------------------------------------------------------------
-// Per-flow policies (Eiffel extensions) — object-safe form for tree leaves.
+// Per-flow policies (Eiffel extensions).
 // ---------------------------------------------------------------------------
-
-/// Object-safe per-flow policy: per-flow bookkeeping lives inside the
-/// policy (keyed by `FlowState::id`), so the trait has no associated type
-/// and can be boxed into a scheduling tree.
-pub trait ObjFlowPolicy {
-    /// New rank for flow `f` after `p` was appended.
-    fn rank_on_enqueue(&mut self, now: Nanos, f: &FlowState<()>, p: &Packet) -> u64;
-
-    /// New rank after the head packet left `f` (non-empty). `None` keeps.
-    fn rank_on_dequeue(&mut self, now: Nanos, f: &FlowState<()>) -> Option<u64> {
-        let _ = (now, f);
-        None
-    }
-
-    /// Observes every served packet (see [`FlowPolicy::on_serve`]).
-    fn on_serve(&mut self, now: Nanos, f: &FlowState<()>, p: &Packet) {
-        let _ = (now, f, p);
-    }
-
-    /// Whether this policy may return [`PARK`] ranks.
-    fn may_park(&self) -> bool {
-        false
-    }
-
-    /// Poll hook (see [`FlowPolicy::advance`]).
-    fn advance(&mut self, now: Nanos, rerank: &mut Vec<FlowId>) {
-        let _ = (now, rerank);
-    }
-
-    /// Current rank for a surfaced flow (see [`FlowPolicy::rank_now`]).
-    fn rank_now(&mut self, now: Nanos, f: &FlowState<()>) -> u64 {
-        let _ = now;
-        f.rank
-    }
-
-    /// Earliest future instant [`ObjFlowPolicy::advance`] could act.
-    fn soonest_wakeup(&self) -> Option<Nanos> {
-        None
-    }
-}
-
-impl FlowPolicy for Box<dyn ObjFlowPolicy> {
-    type Data = ();
-
-    fn rank_on_enqueue(&mut self, now: Nanos, f: &FlowState<()>, p: &Packet) -> u64 {
-        (**self).rank_on_enqueue(now, f, p)
-    }
-
-    fn rank_on_dequeue(&mut self, now: Nanos, f: &FlowState<()>) -> Option<u64> {
-        (**self).rank_on_dequeue(now, f)
-    }
-
-    fn on_serve(&mut self, now: Nanos, f: &FlowState<()>, p: &Packet) {
-        (**self).on_serve(now, f, p)
-    }
-
-    fn may_park(&self) -> bool {
-        (**self).may_park()
-    }
-
-    fn advance(&mut self, now: Nanos, rerank: &mut Vec<FlowId>) {
-        (**self).advance(now, rerank)
-    }
-
-    fn rank_now(&mut self, now: Nanos, f: &FlowState<()>) -> u64 {
-        (**self).rank_now(now, f)
-    }
-
-    fn soonest_wakeup(&self) -> Option<Nanos> {
-        (**self).soonest_wakeup()
-    }
-}
 
 /// Figure 6 of the paper, verbatim — Longest Queue First:
 ///
@@ -471,12 +399,12 @@ pub struct Lqf;
 /// Rank ceiling for [`Lqf`] (queues longer than this tie at the top).
 pub const LQF_CAP: u64 = 1 << 24;
 
-impl ObjFlowPolicy for Lqf {
-    fn rank_on_enqueue(&mut self, _now: Nanos, f: &FlowState<()>, _p: &Packet) -> u64 {
+impl FlowPolicy for Lqf {
+    fn rank_on_enqueue(&mut self, _now: Nanos, f: &FlowState, _p: &Packet) -> u64 {
         LQF_CAP - (f.len() as u64).min(LQF_CAP)
     }
 
-    fn rank_on_dequeue(&mut self, _now: Nanos, f: &FlowState<()>) -> Option<u64> {
+    fn rank_on_dequeue(&mut self, _now: Nanos, f: &FlowState) -> Option<u64> {
         Some(LQF_CAP - (f.len() as u64).min(LQF_CAP))
     }
 }
@@ -495,8 +423,8 @@ impl ObjFlowPolicy for Lqf {
 #[derive(Debug, Default)]
 pub struct Pfabric;
 
-impl ObjFlowPolicy for Pfabric {
-    fn rank_on_enqueue(&mut self, _now: Nanos, f: &FlowState<()>, p: &Packet) -> u64 {
+impl FlowPolicy for Pfabric {
+    fn rank_on_enqueue(&mut self, _now: Nanos, f: &FlowState, p: &Packet) -> u64 {
         if f.len() == 1 {
             p.rank // first packet of a (re)activated flow
         } else {
@@ -504,7 +432,7 @@ impl ObjFlowPolicy for Pfabric {
         }
     }
 
-    fn rank_on_dequeue(&mut self, _now: Nanos, f: &FlowState<()>) -> Option<u64> {
+    fn rank_on_dequeue(&mut self, _now: Nanos, f: &FlowState) -> Option<u64> {
         // Remaining sizes decrease towards the tail, so the head carries the
         // minimum among what is left.
         f.front().map(|head| head.rank)
@@ -519,8 +447,8 @@ pub struct FlowFifo {
     seq: u64,
 }
 
-impl ObjFlowPolicy for FlowFifo {
-    fn rank_on_enqueue(&mut self, _now: Nanos, f: &FlowState<()>, _p: &Packet) -> u64 {
+impl FlowPolicy for FlowFifo {
+    fn rank_on_enqueue(&mut self, _now: Nanos, f: &FlowState, _p: &Packet) -> u64 {
         if f.len() == 1 {
             self.seq += 1;
             self.seq
@@ -529,7 +457,7 @@ impl ObjFlowPolicy for FlowFifo {
         }
     }
 
-    fn rank_on_dequeue(&mut self, _now: Nanos, _f: &FlowState<()>) -> Option<u64> {
+    fn rank_on_dequeue(&mut self, _now: Nanos, _f: &FlowState) -> Option<u64> {
         // Move to the back of the service order: round-robin.
         self.seq += 1;
         Some(self.seq)
@@ -609,7 +537,7 @@ impl HcFlow {
 ///   quantized reservation clock — ahead of every sharer;
 /// * an eligible sharer ranks in band 1 by its share virtual time;
 /// * a limit-gated flow returns [`PARK`] and re-surfaces through
-///   [`ObjFlowPolicy::advance`] when its `l_rank` bucket comes due (the
+///   [`FlowPolicy::advance`] when its `l_rank` bucket comes due (the
 ///   paper's unified-shaper move, §3.2.2).
 ///
 /// Promotions (reservations coming due for sharers, gates opening) ride
@@ -714,8 +642,8 @@ impl HClockFlow {
     }
 }
 
-impl ObjFlowPolicy for HClockFlow {
-    fn rank_on_enqueue(&mut self, now: Nanos, f: &FlowState<()>, _p: &Packet) -> u64 {
+impl FlowPolicy for HClockFlow {
+    fn rank_on_enqueue(&mut self, now: Nanos, f: &FlowState, _p: &Packet) -> u64 {
         let id = f.id as usize;
         if f.len() == 1 {
             self.flow_mut(id); // ensure state exists
@@ -725,11 +653,11 @@ impl ObjFlowPolicy for HClockFlow {
         }
     }
 
-    fn rank_on_dequeue(&mut self, now: Nanos, f: &FlowState<()>) -> Option<u64> {
+    fn rank_on_dequeue(&mut self, now: Nanos, f: &FlowState) -> Option<u64> {
         Some(self.place(now, f.id as usize))
     }
 
-    fn on_serve(&mut self, now: Nanos, f: &FlowState<()>, p: &Packet) {
+    fn on_serve(&mut self, now: Nanos, f: &FlowState, p: &Packet) {
         let id = f.id as usize;
         self.charge(now, id, p.bytes as u64);
         if f.is_empty() {
@@ -762,7 +690,7 @@ impl ObjFlowPolicy for HClockFlow {
         }
     }
 
-    fn rank_now(&mut self, _now: Nanos, f: &FlowState<()>) -> u64 {
+    fn rank_now(&mut self, _now: Nanos, f: &FlowState) -> u64 {
         self.rank_of(f.id as usize)
     }
 
@@ -896,8 +824,8 @@ impl HfscCurves {
     }
 }
 
-impl ObjFlowPolicy for HfscCurves {
-    fn rank_on_enqueue(&mut self, now: Nanos, f: &FlowState<()>, _p: &Packet) -> u64 {
+impl FlowPolicy for HfscCurves {
+    fn rank_on_enqueue(&mut self, now: Nanos, f: &FlowState, _p: &Packet) -> u64 {
         let id = f.id as usize;
         if f.len() == 1 {
             // New backlog period: refill the burst segment, clamp the
@@ -914,11 +842,11 @@ impl ObjFlowPolicy for HfscCurves {
         }
     }
 
-    fn rank_on_dequeue(&mut self, now: Nanos, f: &FlowState<()>) -> Option<u64> {
+    fn rank_on_dequeue(&mut self, now: Nanos, f: &FlowState) -> Option<u64> {
         Some(self.place(now, f.id as usize))
     }
 
-    fn on_serve(&mut self, now: Nanos, f: &FlowState<()>, p: &Packet) {
+    fn on_serve(&mut self, now: Nanos, f: &FlowState, p: &Packet) {
         let id = f.id as usize;
         let spec = self.spec(id);
         let bytes = p.bytes as u64;
@@ -950,7 +878,7 @@ impl ObjFlowPolicy for HfscCurves {
         }
     }
 
-    fn rank_now(&mut self, _now: Nanos, f: &FlowState<()>) -> u64 {
+    fn rank_now(&mut self, _now: Nanos, f: &FlowState) -> u64 {
         let fl = &self.flows[f.id as usize];
         match fl.phase {
             HfscPhase::Rt => fl.d / self.gran,
@@ -1107,7 +1035,7 @@ mod tests {
 
     #[test]
     fn lqf_serves_longest_queue_first() {
-        let mut s: FlowScheduler<Box<dyn ObjFlowPolicy>> = FlowScheduler::with_kind(
+        let mut s = FlowScheduler::with_kind(
             Box::new(Lqf),
             QueueKind::Cffs,
             QueueConfig::new(4_096, 1, LQF_CAP - 4_096),
@@ -1131,7 +1059,7 @@ mod tests {
 
     #[test]
     fn pfabric_tracks_min_remaining_on_both_hooks() {
-        let mut s: FlowScheduler<Box<dyn ObjFlowPolicy>> = FlowScheduler::with_kind(
+        let mut s = FlowScheduler::with_kind(
             Box::new(Pfabric),
             QueueKind::HierFfs,
             QueueConfig::new(100_000, 1, 0),
@@ -1161,7 +1089,7 @@ mod tests {
 
     #[test]
     fn flow_fifo_round_robins() {
-        let mut s: FlowScheduler<Box<dyn ObjFlowPolicy>> = FlowScheduler::with_kind(
+        let mut s = FlowScheduler::with_kind(
             Box::new(FlowFifo::default()),
             QueueKind::Cffs,
             QueueConfig::new(4_096, 1, 0),

@@ -35,8 +35,8 @@ use std::collections::VecDeque;
 use eiffel_core::{RankedQueue, Reciprocal};
 use eiffel_sim::{Nanos, Packet, Rate};
 
-use crate::flow::FlowScheduler;
-use crate::policies::{NodeProgram, ObjFlowPolicy, RankCtx};
+use crate::flow::{FlowPolicy, FlowScheduler};
+use crate::policies::{NodeProgram, RankCtx};
 use crate::shaper::{Shaper, TokenStamper};
 
 /// Node handle.
@@ -134,7 +134,7 @@ enum Body {
     /// Inner node of a per-key-monotone program.
     Heads(RankStore),
     /// Per-flow leaf (Eiffel extension #1/#2).
-    Flows(FlowScheduler<Box<dyn ObjFlowPolicy>>),
+    Flows(FlowScheduler),
 }
 
 struct Node {
@@ -236,7 +236,7 @@ struct Draft {
     parent: Option<usize>,
     tx: Box<dyn NodeProgram>,
     /// The flow scheduler of a per-flow leaf.
-    flows: Option<FlowScheduler<Box<dyn ObjFlowPolicy>>>,
+    flows: Option<FlowScheduler>,
     limit: Option<Rate>,
 }
 
@@ -306,7 +306,7 @@ impl TreeBuilder {
         &mut self,
         name: &str,
         parent: Option<NodeId>,
-        policy: Box<dyn ObjFlowPolicy>,
+        policy: Box<dyn FlowPolicy>,
         flow_queue: Box<dyn RankedQueue<(u32, u64)>>,
         limit: Option<Rate>,
     ) -> NodeId {

@@ -43,7 +43,7 @@ pub use eiffel::EiffelQdisc;
 pub use fq::FqQdisc;
 pub use host::{run, HostConfig, HostReport, RunConfig};
 pub use qdisc::{ShaperQdisc, TimerStyle};
-pub use ranked::{backend_label, RankedShaperQdisc};
+pub use ranked::RankedShaperQdisc;
 pub use sharded::{
     run_sharded, run_sharded_traced, ShardStats, ShardTrace, ShardedConfig, ShardedReport,
     SojournHist, TierCounters,

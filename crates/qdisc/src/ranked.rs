@@ -19,23 +19,6 @@ use eiffel_workloads::RankPattern;
 use crate::qdisc::{ShaperQdisc, TimerStyle};
 use crate::sock::row;
 
-/// Stable report name for a backend kind.
-pub fn backend_label(kind: QueueKind) -> &'static str {
-    match kind {
-        QueueKind::Ffs => "ranked-ffs",
-        QueueKind::HierFfs => "ranked-hffs",
-        QueueKind::Cffs => "ranked-cffs",
-        QueueKind::Gradient => "ranked-gradient",
-        QueueKind::ApproxGradient { .. } => "ranked-approx",
-        QueueKind::CircularApprox { .. } => "ranked-capprox",
-        QueueKind::BucketHeap => "ranked-bh",
-        QueueKind::SpPifo { .. } => "ranked-sp-pifo",
-        QueueKind::Rifo => "ranked-rifo",
-        QueueKind::BinaryHeap => "ranked-heap",
-        QueueKind::BTree => "ranked-btree",
-    }
-}
-
 /// Ranked work-conserving qdisc: any [`QueueKind`] behind [`ShaperQdisc`].
 ///
 /// Flow ids must be dense (`0..flows`): they index the per-flow sequence
@@ -61,7 +44,7 @@ impl RankedShaperQdisc {
             pattern,
             max_rank: cfg.start_rank + cfg.span() - 1,
             seq: Vec::new(),
-            name: backend_label(kind),
+            name: kind.label(),
             scratch: Vec::new(),
         }
     }

@@ -6,8 +6,8 @@
 //! this substrate instead: a virtual-time clock, a deterministic event loop,
 //! a CPU meter that attributes *real, measured* nanoseconds of executed
 //! data-structure code to virtual-time bins (plus documented modelled
-//! constants for hardware effects like interrupt entry), token-bucket links,
-//! and a deterministic RNG.
+//! constants for hardware effects like interrupt entry), and a deterministic
+//! RNG.
 //!
 //! Design follows the smoltcp school: explicit `poll`-style control flow, no
 //! hidden threads, no async — packet scheduling is CPU-bound work and the
@@ -18,7 +18,6 @@
 
 pub mod cpu;
 pub mod events;
-pub mod link;
 pub mod packet;
 pub mod rng;
 pub mod sched;
@@ -26,7 +25,6 @@ pub mod time;
 
 pub use cpu::{CpuCategory, CpuMeter};
 pub use events::EventQueue;
-pub use link::Link;
 pub use packet::{shard_of, FlowId, Packet};
 pub use rng::SplitMix64;
 pub use sched::{BucketedEventQueue, EventScheduler, DEFAULT_WHEEL_SLOTS};

@@ -28,11 +28,11 @@ mod facade_reachability {
         TimerStyle,
     };
     pub use eiffel_repro::sim::{
-        CpuCategory, CpuMeter, EventQueue, FlowId, Link, Nanos, Packet, Rate, SplitMix64,
-        MICROSECOND, MILLISECOND, SECOND,
+        CpuCategory, CpuMeter, EventQueue, FlowId, Nanos, Packet, Rate, SplitMix64, MICROSECOND,
+        MILLISECOND, SECOND,
     };
     pub use eiffel_repro::workloads::{
-        EmpiricalCdf, FlowSet, FlowSizeDist, PacedFlow, PoissonArrivals, PACKET_PAYLOAD_BYTES,
+        EmpiricalCdf, FlowSizeDist, PoissonArrivals, PACKET_PAYLOAD_BYTES,
     };
 }
 
