@@ -24,16 +24,20 @@
 //! bounded error which triggers the paper's linear search and is recorded
 //! for Figure 18.
 //!
+//! The paper offers this as another way to *find* the minimum bucket, not
+//! another container: [`ApproxIndex`] is an [`Occupancy`] index of the one
+//! bucket store, and [`ApproxGradientQueue`] is that store over it.
+//!
 //! # Hot-path layout
 //!
 //! The estimator's per-packet cost is what Figures 16/17 measure, so the
 //! state it touches is arranged for that path (measured against the
 //! `queue_hot_paths` criterion bench; see DESIGN.md):
 //!
-//! * **One packed record per bucket** (`Meta`: occupancy count + weight,
-//!   16 bytes) instead of parallel `counts`/`weights` arrays — the hit
-//!   check, the per-element count update and the 0↔1-edge weight lookup all
-//!   land on the same cache line.
+//! * **The store keeps the per-element state.** The index sees only a
+//!   bucket's 0↔1 edges; the hit check is one bit test in the index's
+//!   exact occupancy bitmap, and the `f64` weight array (8 bytes per
+//!   bucket) is read only on an edge.
 //! * **A cached estimate** invalidated only when the accumulators change (a
 //!   0↔1 occupancy edge or a rebuild). Consecutive lookups between edges —
 //!   every pop after the first from a multi-packet bucket, or a `peek`
@@ -52,20 +56,17 @@
 //!   renormalization fallbacks. Floats survive only at the edges of the
 //!   structure: deriving per-bucket weights at construction and converting
 //!   a weight to fixed-point once per rebuild anchor.
-//! * Rank→bucket mapping divides by the construction-time granularity
-//!   through a precomputed [`Reciprocal`], not a hardware `div`.
 //!
-//! The exact occupancy bitmap added in PR 3 stays: the estimator never
-//! consults it on a hit, and it makes the miss search `O(log₆₄ nb)` with
-//! selection identical to the paper's alternating linear search.
+//! The exact occupancy bitmap serves the hit check, the miss search
+//! (`O(log₆₄ nb)`, selection identical to the paper's alternating linear
+//! search), the exact max path and the Figure 18 error measurement.
 
 use std::cell::Cell;
 
-use crate::buckets::Buckets;
-use crate::cffs::{BucketCore, Circular};
+use crate::bucketed::{Bucketed, Occupancy};
+use crate::cffs::Circular;
 use crate::hierbitmap::HierBitmap;
-use crate::recip::Reciprocal;
-use crate::traits::{EnqueueError, EnqueueErrorKind, QueueStats, RankedQueue};
+use crate::traits::QueueStats;
 
 /// Derived constants of an approximate gradient queue for a given α.
 #[derive(Debug, Clone, Copy)]
@@ -90,7 +91,7 @@ impl ApproxParams {
         let r = 2f64.powf(1.0 / alpha as f64);
         // Smallest M with r^(−M−1) ≤ eps  ⇔  M ≥ α·log2(1/eps) − 1.
         let i0 = (alpha as f64 * (1.0 / eps).log2() - 1.0).ceil() as u32;
-        // |u(α)| = 1/(r − 1); refined by calibration in `with_capacity`.
+        // |u(α)| = 1/(r − 1); refined by calibration in `ApproxIndex::new`.
         let shift = 1.0 / (r - 1.0);
         ApproxParams {
             alpha,
@@ -127,34 +128,24 @@ impl ApproxParams {
     }
 }
 
-/// Estimator state of one bucket, packed so the hit check (`count > 0`),
-/// the per-element count update and the 0↔1-edge accumulator update all
-/// touch one 16-byte record — four records per cache line.
-#[derive(Debug, Clone, Copy)]
-struct Meta {
-    /// Precomputed weight `r^(i0+k)` of this offset.
-    weight: f64,
-    /// Elements currently stored at this offset.
-    count: u32,
-    _pad: u32,
-}
-
 /// Sentinel `found` value in the lookup cache meaning "recompute".
 const EST_STALE: (i32, i32) = (-1, -1);
 
-/// Fixed-range approximate gradient **min**-queue.
+/// The approximate gradient curvature as a bucket index.
 ///
-/// Bucket `b` (0 = smallest rank) maps to absolute index `I0 + (nb−1−b)`, so
-/// the curvature's max-index estimate finds the minimum-rank bucket.
+/// Bucket `b` (0 = smallest rank) sits at offset `k = nb−1−b`, absolute
+/// index `I0 + k`, so the curvature's max-index estimate finds the
+/// minimum-rank bucket. [`Occupancy::first_set`] is that estimate (plus the
+/// miss search), [`Occupancy::min_for_pop`] adds the rebuild triggers and
+/// records the lookup, and [`Occupancy::last_set`] is exact.
 #[derive(Debug, Clone)]
-pub struct ApproxGradientQueue<T> {
+pub struct ApproxIndex {
     params: ApproxParams,
-    /// Packed per-offset estimator state (absolute index `i0 + k`).
-    meta: Vec<Meta>,
-    nonempty: usize,
+    /// Precomputed weight `r^(i0+k)` of each offset.
+    weights: Vec<f64>,
     /// Fixed-point fraction bits `F` of the weight scale: the anchor offset's
-    /// weight is stored as `2^F`. Sized in `with_base` so the implied
-    /// numerator `b = Σ (i0+k)·w_fix(k)` provably fits 61 bits.
+    /// weight is stored as `2^F`. Sized in `new` so the implied numerator
+    /// `b = Σ (i0+k)·w_fix(k)` provably fits 61 bits.
     frac_bits: u32,
     /// `Σ w_fix(k)` over occupied offsets — the fixed-point `a` accumulator.
     a_fix: u64,
@@ -184,22 +175,15 @@ pub struct ApproxGradientQueue<T> {
     /// the estimate *and* the miss search would reproduce themselves —
     /// repeat lookups (every pop after the first from a multi-packet
     /// bucket, or a `peek` before its `dequeue`) skip all float work and
-    /// all searching. Interior-mutable so `peek_min_rank` (`&self`) warms
-    /// it.
+    /// all searching. Interior-mutable so peeks (`&self`) warm it.
     est_cache: Cell<(i32, i32)>,
-    buckets: Buckets<T>,
-    granularity: Reciprocal,
-    base: u64,
-    nb: usize,
     stats: QueueStats,
-    /// Exact occupancy bitmap, maintained on 0↔1 edges. Never consulted by
-    /// the estimator's one-step lookup; it serves three support paths: the
-    /// fallback search when the estimate lands on an empty bucket (same
-    /// selection as the paper's alternating linear search, computed in
+    /// Exact occupancy bitmap by offset, maintained on 0↔1 edges: the hit
+    /// check, the fallback search when the estimate lands on an empty
+    /// bucket (same selection as the paper's alternating linear search, in
     /// `O(log₆₄ nb)` word ops instead of a per-bucket walk — fig19's sparse
-    /// ports averaged 175 scanned buckets per miss before), the exact
-    /// max-rank maintenance path (`peek_max_rank` / `dequeue_max`), and
-    /// the Figure 18 error measurement.
+    /// ports averaged 175 scanned buckets per miss before), the exact max
+    /// path, the rebuild sweep and the Figure 18 error measurement.
     occ: HierBitmap,
     /// Whether lookups record the Figure 18 error statistic.
     track: bool,
@@ -245,23 +229,14 @@ const TOP_DROP_ALPHAS: u32 = 20;
 /// spike, which costs more than the misses it prevents.
 const TOP_DROP_MIN_EDGES_ALPHAS: u32 = 12;
 
-impl<T> ApproxGradientQueue<T> {
-    /// Creates a queue over ranks `[0, nb × granularity)` with an α chosen
-    /// automatically for `nb`.
-    pub fn new(nb: usize, granularity: u64) -> Self {
-        let alpha = ApproxParams::alpha_for_buckets(nb);
-        Self::with_base(nb, granularity, 0, alpha)
-    }
-
-    /// Creates a queue over ranks `[base, base + nb × granularity)` with an
-    /// explicit α.
+impl ApproxIndex {
+    /// An empty index over `nb` buckets with weights `2^(i/alpha)`.
     ///
     /// # Panics
     /// Panics if `nb` exceeds [`ApproxParams::max_buckets`] for `alpha`.
-    pub fn with_base(nb: usize, granularity: u64, base: u64, alpha: u32) -> Self {
+    pub fn new(nb: usize, alpha: u32) -> Self {
         assert!(nb > 0);
         assert!(nb <= i32::MAX as usize, "lookup cache packs offsets in i32");
-        assert!(granularity > 0);
         assert!(
             nb <= ApproxParams::max_buckets(alpha),
             "{nb} buckets exceed the f64 mantissa window for alpha {alpha} \
@@ -269,19 +244,15 @@ impl<T> ApproxGradientQueue<T> {
             ApproxParams::max_buckets(alpha)
         );
         let mut params = ApproxParams::derive(alpha, 1e-4);
-        let meta: Vec<Meta> = (0..nb)
-            .map(|k| Meta {
-                weight: params.r.powi((params.i0 + k as u32) as i32),
-                count: 0,
-                _pad: 0,
-            })
+        let weights: Vec<f64> = (0..nb)
+            .map(|k| params.r.powi((params.i0 + k as u32) as i32))
             .collect();
         // Calibrate the shift at full occupancy so a dense queue is exact:
         // shift = Imax − b/a when every bucket is occupied.
         let (mut a, mut bsum) = (0.0f64, 0.0f64);
-        for (k, m) in meta.iter().enumerate() {
-            a += m.weight;
-            bsum += (params.i0 + k as u32) as f64 * m.weight;
+        for (k, &w) in weights.iter().enumerate() {
+            a += w;
+            bsum += (params.i0 + k as u32) as f64 * w;
         }
         params.shift = (params.i0 + nb as u32 - 1) as f64 - bsum / a;
         // Fixed-point budget: the implied numerator is bounded by
@@ -300,10 +271,9 @@ impl<T> ApproxGradientQueue<T> {
         let ci = s.floor() as i64;
         let theta = s - s.floor();
         let theta1_fp = (((1.0 - theta) * (1u64 << 32) as f64).ceil() as u64).min(1 << 32);
-        ApproxGradientQueue {
+        ApproxIndex {
             params,
-            meta,
-            nonempty: 0,
+            weights,
             frac_bits,
             a_fix: 0,
             q: 0,
@@ -313,10 +283,6 @@ impl<T> ApproxGradientQueue<T> {
             ci,
             theta1_fp,
             est_cache: Cell::new(EST_STALE),
-            buckets: Buckets::new(nb),
-            granularity: Reciprocal::new(granularity),
-            base,
-            nb,
             stats: QueueStats::default(),
             occ: HierBitmap::new(nb),
             track: false,
@@ -325,42 +291,17 @@ impl<T> ApproxGradientQueue<T> {
         }
     }
 
-    /// Enables Figure 18 instrumentation: every lookup records
-    /// `|selected bucket − true best bucket|` against the exact occupancy.
-    pub fn track_error(mut self) -> Self {
-        self.track = true;
-        self
-    }
-
-    /// The derived α/I0/shift constants in use.
-    pub fn params(&self) -> &ApproxParams {
-        &self.params
-    }
-
-    /// Number of buckets.
-    pub fn num_buckets(&self) -> usize {
-        self.nb
-    }
-
-    fn bucket_of(&self, rank: u64) -> Option<usize> {
-        let off = self.granularity.div(rank.checked_sub(self.base)?);
-        if (off as usize) < self.nb {
-            Some(off as usize)
-        } else {
-            None
-        }
-    }
-
-    /// Internal offset for a bucket: reverse order so max-index = min-rank.
-    fn offset_of_bucket(&self, bucket: usize) -> usize {
-        self.nb - 1 - bucket
+    /// Offset of bucket `b`, and bucket of offset `b`: the reversal that
+    /// makes the max-index estimate name the minimum-rank bucket.
+    fn flip(&self, b: usize) -> usize {
+        self.occ.len() - 1 - b
     }
 
     /// Re-points the fixed-point scale at offset `k`: `w_fix(k) = 2^F`.
     #[inline]
     fn set_anchor(&mut self, k: u32) {
         self.anchor = k;
-        self.anchor_inv = (1u64 << self.frac_bits) as f64 / self.meta[k as usize].weight;
+        self.anchor_inv = (1u64 << self.frac_bits) as f64 / self.weights[k as usize];
     }
 
     /// Fixed-point weight of offset `k` under the current anchor. Weights
@@ -370,7 +311,7 @@ impl<T> ApproxGradientQueue<T> {
     /// add and its matching sub always agree).
     #[inline]
     fn wf(&self, k: usize) -> u64 {
-        (self.meta[k].weight * self.anchor_inv) as u64
+        (self.weights[k] * self.anchor_inv) as u64
     }
 
     /// Adds `w` at absolute index `idx` to the accumulators, restoring the
@@ -445,55 +386,48 @@ impl<T> ApproxGradientQueue<T> {
         self.rem = rc as u64;
     }
 
+    /// Offset `k` became occupied.
     #[inline]
     fn occupy(&mut self, k: usize) {
-        self.meta[k].count += 1;
-        if self.meta[k].count == 1 {
-            self.nonempty += 1;
-            self.occ.set(k);
-            self.est_cache.set(EST_STALE);
-            if self.nonempty == 1 {
-                // First element: re-anchor directly, O(1) — the single-term
-                // accumulators are exact by construction.
-                self.set_anchor(k as u32);
-                self.a_fix = self.wf(k);
-                self.q = (self.params.i0 + k as u32) as i64;
-                self.rem = 0;
-                self.edges_since_rebuild = 0;
-                self.top_at_rebuild = k as u32;
-            } else if (k as u32) > self.anchor + 8 * self.params.alpha {
-                // A weight this far above the anchor would overflow the
-                // fixed-point headroom (`wf` saturates past `2^(F+8)`):
-                // re-anchor first. The bit for `k` is already set, so the
-                // rebuild's sweep includes it.
-                self.rebuild();
-            } else {
-                self.add_term((self.params.i0 + k as u32) as i64, self.wf(k));
-                // Raising the top re-anchors the drop window.
-                self.top_at_rebuild = self.top_at_rebuild.max(k as u32);
-                self.bump_edges();
-            }
+        self.occ.set(k);
+        self.est_cache.set(EST_STALE);
+        if self.occ.count_ones() == 1 {
+            // First element: re-anchor directly, O(1) — the single-term
+            // accumulators are exact by construction.
+            self.set_anchor(k as u32);
+            self.a_fix = self.wf(k);
+            self.q = (self.params.i0 + k as u32) as i64;
+            self.rem = 0;
+            self.edges_since_rebuild = 0;
+            self.top_at_rebuild = k as u32;
+        } else if (k as u32) > self.anchor + 8 * self.params.alpha {
+            // A weight this far above the anchor would overflow the
+            // fixed-point headroom (`wf` saturates past `2^(F+8)`):
+            // re-anchor first. The bit for `k` is already set, so the
+            // rebuild's sweep includes it.
+            self.rebuild();
+        } else {
+            self.add_term((self.params.i0 + k as u32) as i64, self.wf(k));
+            // Raising the top re-anchors the drop window.
+            self.top_at_rebuild = self.top_at_rebuild.max(k as u32);
+            self.bump_edges();
         }
     }
 
+    /// Offset `k` became empty.
     #[inline]
     fn vacate(&mut self, k: usize) {
-        debug_assert!(self.meta[k].count > 0);
-        self.meta[k].count -= 1;
-        if self.meta[k].count == 0 {
-            self.nonempty -= 1;
-            self.occ.clear(k);
-            self.est_cache.set(EST_STALE);
-            if self.nonempty == 0 {
-                // Hard reset, exact and O(1).
-                self.a_fix = 0;
-                self.q = 0;
-                self.rem = 0;
-            } else {
-                self.sub_term((self.params.i0 + k as u32) as i64, self.wf(k));
-            }
-            self.bump_edges();
+        self.occ.clear(k);
+        self.est_cache.set(EST_STALE);
+        if self.occ.is_empty() {
+            // Hard reset, exact and O(1).
+            self.a_fix = 0;
+            self.q = 0;
+            self.rem = 0;
+        } else {
+            self.sub_term((self.params.i0 + k as u32) as i64, self.wf(k));
         }
+        self.bump_edges();
     }
 
     #[inline]
@@ -520,12 +454,12 @@ impl<T> ApproxGradientQueue<T> {
             return;
         };
         self.set_anchor(top as u32);
-        let (meta, inv, i0) = (&self.meta, self.anchor_inv, self.params.i0);
+        let (weights, inv, i0) = (&self.weights, self.anchor_inv, self.params.i0);
         let mut a = 0u64;
         let mut b = 0u128;
         // Occupied buckets only: O(occupied + leaf words), not O(nb).
         self.occ.for_each_set(|k| {
-            let w = (meta[k].weight * inv) as u64;
+            let w = (weights[k] * inv) as u64;
             a += w;
             b += (i0 + k as u32) as u128 * w as u128;
         });
@@ -540,12 +474,30 @@ impl<T> ApproxGradientQueue<T> {
         self.top_at_rebuild = top as u32;
     }
 
+    /// The occupied offset the paper's alternating linear search selects
+    /// from an empty estimate `est_k`: upward first (the estimate usually
+    /// undershoots when mass sits below the maximum, Appendix B), then
+    /// downward, one step per direction per round, up winning distance
+    /// ties. Computed in O(log₆₄ nb) from the occupancy bitmap — the
+    /// nearest occupied offset above and below, merged under the same tie
+    /// rule — without walking empty buckets one by one.
+    fn search(&self, est_k: usize) -> usize {
+        let up = self.occ.first_set_from(est_k + 1);
+        let down = self.occ.last_set_to(est_k);
+        match (up, down) {
+            (Some(u), Some(d)) if u - est_k <= est_k - d => u,
+            (_, Some(d)) => d,
+            (Some(u), None) => u,
+            (None, None) => unreachable!("search over an empty bitmap"),
+        }
+    }
+
     /// One-step estimate of the maximum occupied internal offset, then the
     /// paper's linear search if the estimated bucket is empty.
     ///
     /// Returns `(offset, estimate_offset)`; the difference is the Figure 18
     /// search distance. Approximation means the returned offset may not be
-    /// the true maximum — the shadow bitmap (when enabled) measures that.
+    /// the true maximum — the exact bitmap (when tracking) measures that.
     fn locate_max_offset(&self) -> Option<(usize, usize)> {
         // Cache first: a valid entry proves the accumulators (and hence the
         // occupancy, which moves in lockstep) have not changed since it was
@@ -554,7 +506,7 @@ impl<T> ApproxGradientQueue<T> {
         if cached_k >= 0 {
             return Some((cached_k as usize, cached_est as usize));
         }
-        if self.nonempty == 0 {
+        if self.occ.is_empty() {
             return None;
         }
         if self.a_fix == 0 {
@@ -572,35 +524,11 @@ impl<T> ApproxGradientQueue<T> {
         // float path's truncate/saturate put them.
         let thresh = ((self.a_fix as u128 * self.theta1_fp as u128) >> 32) as u64;
         let est_i = self.q + self.ci + i64::from(self.rem >= thresh);
-        let est_k = est_i.clamp(0, self.nb as i64 - 1) as usize;
-        if self.meta[est_k].count > 0 {
-            self.est_cache.set((est_k as i32, est_k as i32));
-            return Some((est_k, est_k));
-        }
-        // Miss: the paper falls back to an alternating linear search —
-        // upward first (the estimate usually undershoots when mass sits
-        // below the maximum, Appendix B), then downward, one step per
-        // direction per round, up winning distance ties. The bucket that
-        // search selects is computed here in O(log₆₄ nb) from the occupancy
-        // bitmap: the nearest occupied bucket above and below the estimate,
-        // merged under the same tie rule. Identical selection (and hence
-        // identical Figure 18 error), without walking empty buckets one by
-        // one — fig19's sparse ports averaged 175 walked buckets per miss.
-        let up = self.occ.first_set_from(est_k + 1);
-        let down = self.occ.last_set_to(est_k);
-        let k = match (up, down) {
-            (Some(u), Some(d)) => {
-                if u - est_k <= est_k - d {
-                    u
-                } else {
-                    d
-                }
-            }
-            (Some(u), None) => u,
-            (None, Some(d)) => d,
-            (None, None) => {
-                unreachable!("occupancy counter says non-empty but bitmap is empty")
-            }
+        let est_k = est_i.clamp(0, self.occ.len() as i64 - 1) as usize;
+        let k = if self.occ.test(est_k) {
+            est_k
+        } else {
+            self.search(est_k)
         };
         self.est_cache.set((k as i32, est_k as i32));
         Some((k, est_k))
@@ -618,7 +546,7 @@ impl<T> ApproxGradientQueue<T> {
     /// selections.
     #[inline]
     fn locate_for_dequeue(&mut self) -> Option<(usize, usize)> {
-        if self.a_fix == 0 && self.nonempty > 0 {
+        if self.a_fix == 0 && !self.occ.is_empty() {
             self.rebuild();
         }
         let pair = self.locate_max_offset()?;
@@ -643,20 +571,14 @@ impl<T> ApproxGradientQueue<T> {
     /// exact occupancy: accumulate `a = Σ w`, `b = Σ (i0+k)·w` in floating
     /// point, estimate `b/a + shift − i0`, round, and run the same miss
     /// search. Returns `(selected offset, estimated offset)`.
-    ///
-    /// This is the *reference* the conformance suite holds the fixed-point
-    /// path against (`int_estimator_matches_float_reference`): for any
-    /// occupancy the integer selection must match the freshly-computed
-    /// float selection or sit strictly closer to the true maximum. Not a
-    /// hot path — O(occupied) per call.
-    pub fn float_reference_selection(&self) -> Option<(usize, usize)> {
-        if self.nonempty == 0 {
+    fn float_reference_selection(&self) -> Option<(usize, usize)> {
+        if self.occ.is_empty() {
             return None;
         }
-        let (meta, i0) = (&self.meta, self.params.i0);
+        let (weights, i0) = (&self.weights, self.params.i0);
         let (mut a, mut b) = (0.0f64, 0.0f64);
         self.occ.for_each_set(|k| {
-            let w = meta[k].weight;
+            let w = weights[k];
             a += w;
             b += (i0 + k as u32) as f64 * w;
         });
@@ -665,54 +587,11 @@ impl<T> ApproxGradientQueue<T> {
             return Some((k, 0));
         }
         let est = b / a + (self.params.shift - i0 as f64);
-        let est_k = ((est + 0.5) as usize).min(self.nb - 1);
-        if self.meta[est_k].count > 0 {
+        let est_k = ((est + 0.5) as usize).min(self.occ.len() - 1);
+        if self.occ.test(est_k) {
             return Some((est_k, est_k));
         }
-        let up = self.occ.first_set_from(est_k + 1);
-        let down = self.occ.last_set_to(est_k);
-        let k = match (up, down) {
-            (Some(u), Some(d)) => {
-                if u - est_k <= est_k - d {
-                    u
-                } else {
-                    d
-                }
-            }
-            (Some(u), None) => u,
-            (None, Some(d)) => d,
-            (None, None) => {
-                unreachable!("occupancy counter says non-empty but bitmap is empty")
-            }
-        };
-        Some((k, est_k))
-    }
-
-    /// Rank lower edge of the **maximum**-rank occupied bucket, exact:
-    /// one FFS descent over the occupancy bitmap.
-    ///
-    /// pFabric's priority-drop admission test calls this on every arrival
-    /// at a full port; it used to fall back to a full counter scan inside
-    /// [`ApproxGradientQueue::dequeue_max`].
-    pub fn peek_max_rank(&self) -> Option<u64> {
-        let k = self.occ.first_set()?;
-        Some(self.base + (self.nb - 1 - k) as u64 * self.granularity.divisor())
-    }
-
-    /// Removes an element of the **maximum**-rank bucket, found exactly.
-    ///
-    /// This is a maintenance path, not the approximate fast path: pFabric's
-    /// priority-drop eviction (drop the lowest-priority packet on overflow)
-    /// needs a max lookup, and making it exact keeps the experiment focused
-    /// on the approximation under study — min-extraction (documented in
-    /// DESIGN.md).
-    pub fn dequeue_max(&mut self) -> Option<(u64, T)> {
-        let k = self.occ.first_set()?;
-        let bkt = self.nb - 1 - k;
-        let out = self.buckets.pop(bkt);
-        debug_assert!(out.is_some());
-        self.vacate(k);
-        out
+        Some((self.search(est_k), est_k))
     }
 
     #[inline]
@@ -735,69 +614,36 @@ impl<T> ApproxGradientQueue<T> {
     }
 }
 
-impl<T> RankedQueue<T> for ApproxGradientQueue<T> {
-    fn enqueue(&mut self, rank: u64, item: T) -> Result<(), EnqueueError<T>> {
-        match self.bucket_of(rank) {
-            Some(bkt) => {
-                self.buckets.push(bkt, rank, item);
-                let k = self.offset_of_bucket(bkt);
-                self.occupy(k);
-                Ok(())
-            }
-            None => Err(EnqueueError {
-                kind: EnqueueErrorKind::OutOfRange,
-                rank,
-                item,
-            }),
-        }
+impl Occupancy for ApproxIndex {
+    fn set(&mut self, b: usize) {
+        self.occupy(self.flip(b));
     }
 
-    fn dequeue_min(&mut self) -> Option<(u64, T)> {
+    fn clear(&mut self, b: usize) {
+        self.vacate(self.flip(b));
+    }
+
+    /// The estimated minimum, without rebuilding or recording a lookup.
+    fn first_set(&self) -> Option<usize> {
+        self.locate_max_offset().map(|(k, _)| self.flip(k))
+    }
+
+    /// The estimated minimum after the rebuild triggers, recorded as one
+    /// lookup. Between 1→0 edges the accumulators do not move, so a batch
+    /// that drains a bucket directly selects exactly what repeated single
+    /// dequeues would.
+    fn min_for_pop(&mut self) -> Option<usize> {
         let (k, est_k) = self.locate_for_dequeue()?;
         self.record_lookup(k, est_k);
-        let bkt = self.nb - 1 - k;
-        let out = self.buckets.pop(bkt);
-        debug_assert!(out.is_some(), "curvature said bucket {bkt} occupied");
-        self.vacate(k); // per-element count; accumulators move only on the 1→0 edge
-        out
+        Some(self.flip(k))
     }
 
-    fn dequeue_max(&mut self) -> Option<(u64, T)> {
-        ApproxGradientQueue::dequeue_max(self)
-    }
-
-    /// Batched fast path: one curvature lookup per *bucket visit*, with the
-    /// bucket's FIFO then popped directly — identical order to repeated
-    /// [`RankedQueue::dequeue_min`] (between 1→0 edges the accumulators do
-    /// not move, so a repeated lookup would re-select the same bucket).
-    fn dequeue_batch(&mut self, max: usize, out: &mut Vec<(u64, T)>) -> usize {
-        let mut n = 0;
-        while n < max {
-            let Some((k, est_k)) = self.locate_for_dequeue() else {
-                break;
-            };
-            self.record_lookup(k, est_k);
-            let bkt = self.nb - 1 - k;
-            loop {
-                let pair = self.buckets.pop(bkt).expect("lookup said occupied");
-                out.push(pair);
-                n += 1;
-                self.vacate(k);
-                if n >= max || self.meta[k].count == 0 {
-                    break;
-                }
-            }
-        }
-        n
-    }
-
-    fn peek_min_rank(&self) -> Option<u64> {
-        let (k, _) = self.locate_max_offset()?;
-        Some(self.base + (self.nb - 1 - k) as u64 * self.granularity.divisor())
-    }
-
-    fn len(&self) -> usize {
-        self.buckets.len()
+    /// Exact: the maximum-rank bucket is the lowest occupied offset, one
+    /// FFS descent. pFabric's priority-drop admission test and eviction
+    /// use it, which keeps that experiment focused on the approximation
+    /// under study — min-extraction (DESIGN.md).
+    fn last_set(&self) -> Option<usize> {
+        self.occ.first_set().map(|k| self.flip(k))
     }
 
     fn stats(&self) -> QueueStats {
@@ -805,25 +651,56 @@ impl<T> RankedQueue<T> for ApproxGradientQueue<T> {
     }
 }
 
-impl<T> BucketCore<T> for ApproxGradientQueue<T> {
-    fn push_bucket(&mut self, bucket: usize, rank: u64, item: T) {
-        self.buckets.push(bucket, rank, item);
-        let k = self.offset_of_bucket(bucket);
-        self.occupy(k);
+/// Fixed-range approximate gradient **min**-queue: the one bucket store
+/// over an [`ApproxIndex`].
+pub type ApproxGradientQueue<T> = Bucketed<ApproxIndex, T>;
+
+impl<T> Bucketed<ApproxIndex, T> {
+    /// Creates a queue over ranks `[0, nb × granularity)` with an α chosen
+    /// automatically for `nb`.
+    pub fn new(nb: usize, granularity: u64) -> Self {
+        let alpha = ApproxParams::alpha_for_buckets(nb);
+        Self::with_base(nb, granularity, 0, alpha)
     }
 
-    fn min_bucket(&self) -> Option<usize> {
-        self.locate_max_offset().map(|(k, _)| self.nb - 1 - k)
+    /// Creates a queue over ranks `[base, base + nb × granularity)` with an
+    /// explicit α.
+    ///
+    /// # Panics
+    /// Panics if `nb` exceeds [`ApproxParams::max_buckets`] for `alpha`.
+    pub fn with_base(nb: usize, granularity: u64, base: u64, alpha: u32) -> Self {
+        Self::with_index(ApproxIndex::new(nb, alpha), nb, granularity, base)
     }
 
-    fn core_num_buckets(&self) -> usize {
-        self.nb
+    /// Enables Figure 18 instrumentation: every lookup records
+    /// `|selected bucket − true best bucket|` against the exact occupancy.
+    pub fn track_error(mut self) -> Self {
+        self.index.track = true;
+        self
+    }
+
+    /// The derived α/I0/shift constants in use.
+    pub fn params(&self) -> &ApproxParams {
+        &self.index.params
+    }
+
+    /// The pre-integer f64 estimator's `(selected offset, estimated
+    /// offset)` over the current occupancy, offset `k` being bucket
+    /// `nb−1−k`.
+    ///
+    /// This is the *reference* the conformance suite holds the fixed-point
+    /// path against (`int_estimator_matches_float_reference`): for any
+    /// occupancy the integer selection must match the freshly-computed
+    /// float selection or sit strictly closer to the true maximum. Not a
+    /// hot path — O(occupied) per call.
+    pub fn float_reference_selection(&self) -> Option<(usize, usize)> {
+        self.index.float_reference_selection()
     }
 }
 
 /// Moving-window approximate gradient queue — "for cases of a moving range,
 /// a circular approximate queue can be implemented as with cFFS" (§3.1.2).
-pub type CircularApproxQueue<T> = Circular<ApproxGradientQueue<T>, T>;
+pub type CircularApproxQueue<T> = Circular<ApproxIndex, T>;
 
 impl<T> CircularApproxQueue<T> {
     /// Creates a circular approximate queue: two fixed-range halves of
@@ -841,6 +718,7 @@ impl<T> CircularApproxQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::{EnqueueErrorKind, RankedQueue};
 
     /// Reproduces the paper's α = 16 worked example: I0 = 124 and
     /// ⌊|u(α)|⌋ = 22 under the paper's decay threshold.

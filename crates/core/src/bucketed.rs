@@ -14,10 +14,9 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::buckets::Buckets;
-use crate::cffs::BucketCore;
 use crate::hierbitmap::HierBitmap;
 use crate::recip::Reciprocal;
-use crate::traits::{EnqueueError, EnqueueErrorKind, RankedQueue};
+use crate::traits::{EnqueueError, EnqueueErrorKind, QueueStats, RankedQueue};
 use crate::word;
 
 /// An index over bucket occupancy: which buckets are non-empty, and which
@@ -25,7 +24,9 @@ use crate::word;
 ///
 /// The store calls [`Occupancy::set`] and [`Occupancy::clear`] only on a
 /// bucket's empty↔non-empty transitions, so an index never sees a
-/// duplicate set or a clear of an empty bucket.
+/// duplicate set or a clear of an empty bucket. Every index here is exact
+/// except [`crate::ApproxIndex`], whose minimum is an estimate: any
+/// non-empty bucket, usually the lowest.
 pub trait Occupancy {
     /// Bucket `b` became non-empty.
     fn set(&mut self, b: usize);
@@ -33,16 +34,30 @@ pub trait Occupancy {
     /// Bucket `b` became empty.
     fn clear(&mut self, b: usize);
 
-    /// The lowest non-empty bucket.
+    /// The lowest non-empty bucket — for peeks, which must not change the
+    /// index.
     fn first_set(&self) -> Option<usize>;
 
-    /// The lowest non-empty bucket, asked right after the minimum bucket
-    /// `b` emptied — so the answer lies above `b`. The default is
-    /// [`Occupancy::first_set`], which is correct for exactly that reason;
-    /// indexes with a cheaper forward scan override it.
-    fn next_after(&self, b: usize) -> Option<usize> {
-        let _ = b;
+    /// [`Occupancy::first_set`] for a dequeue that pops the answer. The
+    /// default is `first_set`; an index that counts its lookups or repairs
+    /// itself on the dequeue path overrides it.
+    // `#[inline(always)]` on a pure forwarder: exact indexes compile to the
+    // direct `first_set` call of their min path. Left to the inliner, it
+    // stayed out of line under `Bucketed::dequeue_min` in the ledger and
+    // criterion binaries — one more call per dequeue.
+    #[inline(always)]
+    fn min_for_pop(&mut self) -> Option<usize> {
         self.first_set()
+    }
+
+    /// The lowest non-empty bucket for a dequeue, asked right after the
+    /// minimum bucket `b` emptied; the default is a fresh
+    /// [`Occupancy::min_for_pop`]. Only for an exact index does the answer
+    /// lie above `b`, which lets [`HierBitmap`] scan forward from `b + 1`
+    /// instead; an approximate index keeps the default.
+    fn next_after(&mut self, b: usize) -> Option<usize> {
+        let _ = b;
+        self.min_for_pop()
     }
 
     /// The highest non-empty bucket, or `None` when the index has no exact
@@ -50,6 +65,11 @@ pub trait Occupancy {
     /// `None` and callers fall back to tail drop.
     fn last_set(&self) -> Option<usize> {
         None
+    }
+
+    /// Counters the index keeps about its own lookups (zeros by default).
+    fn stats(&self) -> QueueStats {
+        QueueStats::default()
     }
 }
 
@@ -96,7 +116,7 @@ impl Occupancy for HierBitmap {
     }
 
     #[inline]
-    fn next_after(&self, b: usize) -> Option<usize> {
+    fn next_after(&mut self, b: usize) -> Option<usize> {
         self.first_set_from(b + 1)
     }
 
@@ -139,7 +159,7 @@ impl Occupancy for HeapIndex {
 #[derive(Debug, Clone)]
 pub struct Bucketed<I, T> {
     pub(crate) index: I,
-    pub(crate) buckets: Buckets<T>,
+    buckets: Buckets<T>,
     granularity: Reciprocal,
     base: u64,
 }
@@ -190,6 +210,33 @@ impl<I, T> Bucketed<I, T> {
 }
 
 impl<I: Occupancy, T> Bucketed<I, T> {
+    /// Appends to bucket `b`'s FIFO, marking the bucket in the index when
+    /// it fills — the entry point of the rank mappings over the store
+    /// ([`crate::Circular`], RIFO, SP-PIFO).
+    pub(crate) fn push_bucket(&mut self, b: usize, rank: u64, item: T) {
+        if self.buckets.bucket_is_empty(b) {
+            self.index.set(b);
+        }
+        self.buckets.push(b, rank, item);
+    }
+
+    /// The minimum non-empty bucket as the index names it for a peek,
+    /// checked against the store in debug builds.
+    pub(crate) fn min_bucket(&self) -> Option<usize> {
+        let b = self.index.first_set()?;
+        debug_assert!(
+            !self.buckets.bucket_is_empty(b),
+            "index names empty bucket {b}"
+        );
+        Some(b)
+    }
+
+    /// The rank the next dequeue returns over an exact index: the FIFO
+    /// front of the minimum bucket.
+    pub(crate) fn front_rank(&self) -> Option<u64> {
+        self.buckets.front_rank(self.min_bucket()?)
+    }
+
     /// Pops the oldest element of bucket `b` directly, maintaining the
     /// index; `None` if the bucket is empty. The fast half of a fused
     /// find-then-pop: callers that already located the minimum bucket (and
@@ -208,6 +255,13 @@ impl<I: Occupancy, T> Bucketed<I, T> {
     /// the index has no max path).
     pub fn peek_max_rank(&self) -> Option<u64> {
         self.index.last_set().map(|b| self.edge(b))
+    }
+
+    /// `ExtractMax` (Timing Wheels cannot do this, §2): an element of the
+    /// maximum bucket, found exactly; `None` when the index has no max path.
+    pub fn dequeue_max(&mut self) -> Option<(u64, T)> {
+        let b = self.index.last_set()?;
+        self.pop_bucket(b)
     }
 }
 
@@ -289,7 +343,7 @@ impl<I: Occupancy, T> RankedQueue<T> for Bucketed<I, T> {
     // `churn_enq_deq/cffs` +8 %).
     #[inline]
     fn dequeue_min(&mut self) -> Option<(u64, T)> {
-        let b = self.index.first_set()?;
+        let b = self.index.min_for_pop()?;
         let out = self.buckets.pop(b);
         if self.buckets.bucket_is_empty(b) {
             self.index.clear(b);
@@ -302,7 +356,7 @@ impl<I: Occupancy, T> RankedQueue<T> for Bucketed<I, T> {
     /// [`Occupancy::next_after`] instead of a fresh lookup per element.
     fn dequeue_batch(&mut self, max: usize, out: &mut Vec<(u64, T)>) -> usize {
         let mut n = 0;
-        let Some(mut b) = self.index.first_set() else {
+        let Some(mut b) = self.index.min_for_pop() else {
             return 0;
         };
         while n < max {
@@ -322,11 +376,8 @@ impl<I: Occupancy, T> RankedQueue<T> for Bucketed<I, T> {
         n
     }
 
-    /// `ExtractMax` (Timing Wheels cannot do this, §2); `None` when the
-    /// index has no max path.
     fn dequeue_max(&mut self) -> Option<(u64, T)> {
-        let b = self.index.last_set()?;
-        self.pop_bucket(b)
+        Bucketed::dequeue_max(self)
     }
 
     fn peek_min_rank(&self) -> Option<u64> {
@@ -336,30 +387,9 @@ impl<I: Occupancy, T> RankedQueue<T> for Bucketed<I, T> {
     fn len(&self) -> usize {
         self.buckets.len()
     }
-}
 
-/// Lets two fixed-range halves form a [`crate::Circular`] queue.
-impl<I: Occupancy, T> BucketCore<T> for Bucketed<I, T> {
-    fn push_bucket(&mut self, b: usize, rank: u64, item: T) {
-        if self.buckets.bucket_is_empty(b) {
-            self.index.set(b);
-        }
-        self.buckets.push(b, rank, item);
-    }
-
-    /// The minimum non-empty bucket, checked against the store in debug
-    /// builds.
-    fn min_bucket(&self) -> Option<usize> {
-        let b = self.index.first_set()?;
-        debug_assert!(
-            !self.buckets.bucket_is_empty(b),
-            "index names empty bucket {b}"
-        );
-        Some(b)
-    }
-
-    fn core_num_buckets(&self) -> usize {
-        self.num_buckets()
+    fn stats(&self) -> QueueStats {
+        self.index.stats()
     }
 }
 

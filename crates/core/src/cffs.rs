@@ -13,33 +13,22 @@
 //! and advancing `h` by one span; no bitmap is ever reset and no element is
 //! ever re-scanned.
 //!
-//! The wrapper is generic over [`BucketCore`] so the same window logic also
+//! The window is a rank mapping over two halves of the one bucket store,
+//! generic over the store's [`Occupancy`] index, so the same logic also
 //! yields the circular approximate gradient queue
 //! ([`crate::CircularApproxQueue`]; §3.1.2: "for cases of a moving range, a
 //! circular approximate queue can be implemented as with cFFS").
 
-use std::marker::PhantomData;
-
-use crate::bucketed::HierFfsQueue;
+use crate::bucketed::{Bucketed, HierFfsQueue, Occupancy};
+use crate::hierbitmap::HierBitmap;
 use crate::recip::Reciprocal;
 use crate::traits::{EnqueueError, QueueStats, RankedQueue};
 
-/// A fixed-range queue usable as one half of a [`Circular`] queue: its
-/// [`RankedQueue`] paths serve the half, and the window addresses it by
-/// bucket index.
-pub trait BucketCore<T>: RankedQueue<T> {
-    /// Appends to bucket `bucket`'s FIFO (bucket is in `[0, num_buckets)`).
-    fn push_bucket(&mut self, bucket: usize, rank: u64, item: T);
-    /// Index of the minimum non-empty bucket.
-    fn min_bucket(&self) -> Option<usize>;
-    /// Bucket count.
-    fn core_num_buckets(&self) -> usize;
-}
-
-/// Moving-window queue built from two fixed-range halves (Figure 4).
+/// Moving-window queue built from two fixed-range halves (Figure 4), each
+/// a [`Bucketed`] store with index `I`.
 #[derive(Debug, Clone)]
-pub struct Circular<C, T> {
-    halves: [C; 2],
+pub struct Circular<I, T> {
+    halves: [Bucketed<I, T>; 2],
     /// Which half is currently the primary (0 or 1).
     primary: usize,
     /// Lowest rank covered by the primary window, aligned to the granularity
@@ -51,22 +40,26 @@ pub struct Circular<C, T> {
     recip: Reciprocal,
     num_buckets: usize,
     stats: QueueStats,
-    _item: PhantomData<fn() -> T>,
 }
 
-impl<C: BucketCore<T>, T> Circular<C, T> {
+impl<I: Occupancy, T> Circular<I, T> {
     /// Builds a circular queue from two identical fixed-range halves.
     ///
     /// The window starts at `start_rank` (rounded down to the granularity
     /// grid).
-    pub fn from_halves(a: C, b: C, granularity: u64, start_rank: u64) -> Self {
+    pub fn from_halves(
+        a: Bucketed<I, T>,
+        b: Bucketed<I, T>,
+        granularity: u64,
+        start_rank: u64,
+    ) -> Self {
         assert!(granularity > 0, "granularity must be positive");
         assert_eq!(
-            a.core_num_buckets(),
-            b.core_num_buckets(),
+            a.num_buckets(),
+            b.num_buckets(),
             "halves must have identical geometry"
         );
-        let num_buckets = a.core_num_buckets();
+        let num_buckets = a.num_buckets();
         let recip = Reciprocal::new(granularity);
         Circular {
             halves: [a, b],
@@ -75,7 +68,6 @@ impl<C: BucketCore<T>, T> Circular<C, T> {
             recip,
             num_buckets,
             stats: QueueStats::default(),
-            _item: PhantomData,
         }
     }
 
@@ -99,11 +91,11 @@ impl<C: BucketCore<T>, T> Circular<C, T> {
         self.recip.divisor()
     }
 
-    fn primary_ref(&self) -> &C {
+    fn primary_ref(&self) -> &Bucketed<I, T> {
         &self.halves[self.primary]
     }
 
-    fn secondary_ref(&self) -> &C {
+    fn secondary_ref(&self) -> &Bucketed<I, T> {
         &self.halves[1 - self.primary]
     }
 
@@ -116,7 +108,7 @@ impl<C: BucketCore<T>, T> Circular<C, T> {
     }
 }
 
-impl<C: BucketCore<T>, T> RankedQueue<T> for Circular<C, T> {
+impl<I: Occupancy, T> RankedQueue<T> for Circular<I, T> {
     fn enqueue(&mut self, rank: u64, item: T) -> Result<(), EnqueueError<T>> {
         let span = self.span();
         // Re-base an empty queue whose window lags so far behind that the
@@ -220,7 +212,7 @@ impl<C: BucketCore<T>, T> RankedQueue<T> for Circular<C, T> {
 }
 
 /// The paper's cFFS: a [`Circular`] queue over two hierarchical FFS halves.
-pub type CffsQueue<T> = Circular<HierFfsQueue<T>, T>;
+pub type CffsQueue<T> = Circular<HierBitmap, T>;
 
 impl<T> CffsQueue<T> {
     /// Creates a cFFS with `num_buckets` buckets of `granularity` rank units

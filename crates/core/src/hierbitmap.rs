@@ -124,56 +124,88 @@ impl HierBitmap {
     #[inline]
     pub fn set(&mut self, i: usize) {
         assert!(i < self.len, "bucket {i} out of range {}", self.len);
-        if self.test(i) {
-            return;
-        }
-        self.ones += 1;
-        let wi = i / 64;
-        let transition = word::set_bit(&mut self.words[wi], (i % 64) as u32);
-        if !transition {
-            return; // leaf word already non-empty: ancestors knew
-        }
-        // The level-1 bit may already be set by a sibling group word.
-        let mut idx = wi / GROUP_WORDS;
-        for l in 1..self.depth as usize {
-            let w = self.offs[l] as usize + idx / 64;
-            let transition = word::set_bit(&mut self.words[w], (idx % 64) as u32);
-            if !transition {
-                break; // parent already knew this subtree was non-empty
+        'update: {
+            if self.test(i) {
+                break 'update;
             }
-            idx /= 64;
+            self.ones += 1;
+            let wi = i / 64;
+            let transition = word::set_bit(&mut self.words[wi], (i % 64) as u32);
+            if !transition {
+                break 'update; // leaf word already non-empty: ancestors knew
+            }
+            // The level-1 bit may already be set by a sibling group word.
+            let mut idx = wi / GROUP_WORDS;
+            for l in 1..self.depth as usize {
+                let w = self.offs[l] as usize + idx / 64;
+                let transition = word::set_bit(&mut self.words[w], (idx % 64) as u32);
+                if !transition {
+                    break; // parent already knew this subtree was non-empty
+                }
+                idx /= 64;
+            }
         }
+        debug_assert!(self.path_agrees(i), "summary bits on {i}'s path disagree");
     }
 
     /// Marks bucket `i` empty, propagating non-empty→empty transitions up.
     #[inline]
     pub fn clear(&mut self, i: usize) {
         assert!(i < self.len, "bucket {i} out of range {}", self.len);
-        if !self.test(i) {
-            return;
-        }
-        self.ones -= 1;
-        let wi = i / 64;
-        let now_empty = word::clear_bit(&mut self.words[wi], (i % 64) as u32);
-        if !now_empty || self.depth == 1 {
-            return;
-        }
-        // The level-1 bit clears only when the whole group is empty.
-        let g = wi / GROUP_WORDS;
-        let start = g * GROUP_WORDS;
-        let end = (start + GROUP_WORDS).min(self.level_words(0));
-        if self.words[start..end].iter().any(|&w| w != 0) {
-            return;
-        }
-        let mut idx = g;
-        for l in 1..self.depth as usize {
-            let w = self.offs[l] as usize + idx / 64;
-            let now_empty = word::clear_bit(&mut self.words[w], (idx % 64) as u32);
-            if !now_empty {
-                break; // subtree still non-empty; parent bit stays set
+        'update: {
+            if !self.test(i) {
+                break 'update;
             }
-            idx /= 64;
+            self.ones -= 1;
+            let wi = i / 64;
+            let now_empty = word::clear_bit(&mut self.words[wi], (i % 64) as u32);
+            if !now_empty || self.depth == 1 {
+                break 'update;
+            }
+            // The level-1 bit clears only when the whole group is empty.
+            let g = wi / GROUP_WORDS;
+            let start = g * GROUP_WORDS;
+            let end = (start + GROUP_WORDS).min(self.level_words(0));
+            if self.words[start..end].iter().any(|&w| w != 0) {
+                break 'update;
+            }
+            let mut idx = g;
+            for l in 1..self.depth as usize {
+                let w = self.offs[l] as usize + idx / 64;
+                let now_empty = word::clear_bit(&mut self.words[w], (idx % 64) as u32);
+                if !now_empty {
+                    break; // subtree still non-empty; parent bit stays set
+                }
+                idx /= 64;
+            }
         }
+        debug_assert!(self.path_agrees(i), "summary bits on {i}'s path disagree");
+    }
+
+    /// Whether every summary bit on bucket `i`'s path says exactly whether
+    /// the words it summarises are non-zero — the invariant every descent
+    /// relies on, checked after each `set`/`clear` in debug builds.
+    fn path_agrees(&self, i: usize) -> bool {
+        let mut child = i / 64; // word index at the level below
+        for l in 1..self.depth as usize {
+            // Level 1 summarises a group of leaf words per bit, the levels
+            // above one child word per bit.
+            let (bit, lo, hi) = if l == 1 {
+                let g = child / GROUP_WORDS;
+                let lo = g * GROUP_WORDS;
+                (g, lo, (lo + GROUP_WORDS).min(self.level_words(0)))
+            } else {
+                (child, child, child + 1)
+            };
+            let below = self.offs[l - 1] as usize;
+            let nonzero = self.words[below + lo..below + hi].iter().any(|&w| w != 0);
+            let w = self.words[self.offs[l] as usize + bit / 64];
+            if word::test_bit(w, (bit % 64) as u32) != nonzero {
+                return false;
+            }
+            child = bit / 64;
+        }
+        true
     }
 
     /// Scans leaf group `g` left-to-right for its lowest set bit. Only
@@ -479,12 +511,12 @@ mod tests {
         assert!(bm.is_empty());
     }
 
-    /// Cross-check the hierarchical bitmap against the flat one over a
+    /// Cross-check the hierarchical bitmap against a `BTreeSet` over a
     /// deterministic pseudo-random workload.
-    fn check_against_flat(n: usize, steps: u32) {
-        use crate::bitmap::FlatBitmap;
+    fn check_against_set(n: usize, steps: u32) {
+        use std::collections::BTreeSet;
         let mut hier = HierBitmap::new(n);
-        let mut flat = FlatBitmap::new(n);
+        let mut set = BTreeSet::new();
         let mut x: u64 = 0x9e3779b97f4a7c15 ^ n as u64;
         for step in 0..steps {
             x ^= x << 13;
@@ -493,34 +525,50 @@ mod tests {
             let i = (x % n as u64) as usize;
             if step % 3 == 0 {
                 hier.clear(i);
-                flat.clear(i);
+                set.remove(&i);
             } else {
                 hier.set(i);
-                flat.set(i);
+                set.insert(i);
             }
             if step % 97 == 0 {
-                assert_eq!(hier.first_set(), flat.first_set());
-                assert_eq!(hier.last_set(), flat.last_set());
+                assert_eq!(hier.first_set(), set.first().copied());
+                assert_eq!(hier.last_set(), set.last().copied());
                 let probe = (x >> 32) as usize % (n + 10);
                 assert_eq!(
                     hier.first_set_from(probe),
-                    flat.first_set_from(probe),
+                    set.range(probe..).next().copied(),
                     "n {n} from {probe}"
                 );
+                let to = probe.min(n - 1);
                 assert_eq!(
-                    hier.last_set_to(probe.min(n - 1)),
-                    flat.last_set_to(probe.min(n - 1)),
+                    hier.last_set_to(to),
+                    set.range(..=to).next_back().copied(),
                     "n {n} to {probe}"
                 );
             }
         }
-        assert_eq!(hier.count_ones(), flat.count_ones());
+        assert_eq!(hier.count_ones(), set.len());
     }
 
+    /// The name predates the set oracle: the reference used to be a flat
+    /// word-array bitmap.
     #[test]
     fn agrees_with_flat_bitmap() {
-        check_against_flat(70 * 64 + 13, 20_000); // 2 levels, ragged edge
-        check_against_flat(5 * 64 + 1, 6_000); // partial final group
-        check_against_flat(64 * 64 * 4 * 70 + 13, 20_000); // 3 levels, deep
+        check_against_set(70 * 64 + 13, 20_000); // 2 levels, ragged edge
+        check_against_set(5 * 64 + 1, 6_000); // partial final group
+        check_against_set(64 * 64 * 4 * 70 + 13, 20_000); // 3 levels, deep
+    }
+
+    /// A summary word that disagrees with its children trips the debug
+    /// invariant on the next update of a bucket under it.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "path disagree")]
+    fn corrupt_summary_trips_debug_invariant() {
+        let mut bm = HierBitmap::new(10_000);
+        bm.set(5_000);
+        let root = bm.root as usize;
+        bm.words[root] = 0; // the summary now claims an empty map
+        bm.set(5_001); // same leaf word: no transition to repair it
     }
 }

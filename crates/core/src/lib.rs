@@ -10,8 +10,8 @@
 //!
 //! ## Queue families
 //!
-//! Every fixed-range integer queue is one bucket store, [`Bucketed`], over
-//! an [`Occupancy`] index — the paper's thesis that the structures differ
+//! Every bucketed integer queue is one bucket store, [`Bucketed`], over an
+//! [`Occupancy`] index — the paper's thesis that the structures differ
 //! only in how they find the lowest non-empty bucket:
 //!
 //! | Type | Paper | Index | Range | Min-find cost |
@@ -20,18 +20,18 @@
 //! | [`HierFfsQueue`] | Fig 3 (PIQ-style) | [`HierBitmap`] | fixed, any N | `log₆₄ N` word ops |
 //! | [`GradientQueue`] | §3.1.2 exact | [`GradientWord`] | fixed, ≤ 64 buckets | one `leading_zeros` (Theorem 1) |
 //! | [`HierGradientQueue`] | §3.1.2 exact | [`HierGradient`] | fixed, any N | one per level |
+//! | [`ApproxGradientQueue`] | §3.1.2 approximate | [`ApproxIndex`] (the curvature estimator) | fixed, ~52·α buckets | integer add/compare, no division (+ search on miss) |
 //! | [`BucketHeapQueue`] | §5.2 baseline "BH" | [`HeapIndex`] | fixed | O(log N) heap op per transition |
 //!
-//! Over that store sit the rank mappings and the queues with their own
-//! lookup:
+//! Over that store sit the rank mappings; the comparison baselines and
+//! Carousel's timing wheel stand apart:
 //!
 //! | Type | Paper | Range | Min-find cost |
 //! |---|---|---|---|
 //! | [`CffsQueue`] | Fig 4, the flagship **cFFS**: two [`HierFfsQueue`]s behind [`Circular`] | moving window | `log₆₄ N` word ops |
+//! | [`CircularApproxQueue`] | §3.1.2 "as with cFFS": two [`ApproxGradientQueue`]s behind [`Circular`] | moving window | integer add/compare, no division |
 //! | [`RifoQueue`] | RIFO (related work, PAPERS.md): one [`HierFfsQueue`], adaptive rank→bucket map | unbounded, adaptive | `log₆₄ N` word ops |
-//! | [`ApproxGradientQueue`] | §3.1.2 approximate (own store: the index is the estimator) | fixed, ~52·α buckets | integer add/compare, no division (+ search on miss) |
-//! | [`CircularApproxQueue`] | §3.1.2 "as with cFFS" | moving window | integer add/compare, no division |
-//! | [`SpPifoQueue`] | SP-PIFO (related work, PAPERS.md) | unbounded, adaptive | one `trailing_zeros` |
+//! | [`SpPifoQueue`] | SP-PIFO (related work, PAPERS.md): one [`FfsQueue`], adaptive queue bounds | unbounded, adaptive | one `trailing_zeros` |
 //! | [`HeapPq`], [`TreePq`] | §2 baselines | unbounded | O(log n) comparisons |
 //! | [`TimingWheel`] | Carousel's structure | moving window | none (time-driven only) |
 //!
@@ -63,7 +63,6 @@
 #![warn(missing_docs)]
 
 pub mod approx;
-pub mod bitmap;
 pub mod bucketed;
 pub mod buckets;
 pub mod cffs;
@@ -82,7 +81,7 @@ pub mod timing_wheel;
 pub mod traits;
 pub mod word;
 
-pub use approx::{ApproxGradientQueue, ApproxParams, CircularApproxQueue};
+pub use approx::{ApproxGradientQueue, ApproxIndex, ApproxParams, CircularApproxQueue};
 pub use bucketed::{BucketHeapQueue, Bucketed, FfsQueue, HeapIndex, HierFfsQueue, Occupancy};
 pub use cffs::{CffsQueue, Circular};
 pub use comparison::{HeapPq, TreePq};

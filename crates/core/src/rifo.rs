@@ -21,7 +21,6 @@
 //! invariant).
 
 use crate::bucketed::HierFfsQueue;
-use crate::cffs::BucketCore;
 use crate::recip::Reciprocal;
 use crate::traits::{EnqueueError, QueueStats, RankedQueue};
 
@@ -112,8 +111,7 @@ impl<T> RankedQueue<T> for RifoQueue<T> {
     /// The rank the next dequeue will return (FIFO front of the minimum
     /// occupied bucket).
     fn peek_min_rank(&self) -> Option<u64> {
-        let b = self.store.index.first_set()?;
-        self.store.buckets.front_rank(b)
+        self.store.front_rank()
     }
 
     fn len(&self) -> usize {

@@ -25,9 +25,12 @@
 //! `bound[i+1]`, and push-down subtracts the same amount from every bound
 //! (saturating at zero, which preserves order). The conformance suite
 //! asserts this invariant after every operation.
+//!
+//! Like RIFO, SP-PIFO is a rank *mapping* over the one bucket store: queue
+//! `i` is bucket `i` of an [`FfsQueue`], so serving the highest-priority
+//! non-empty queue is one `trailing_zeros`.
 
-use std::collections::VecDeque;
-
+use crate::bucketed::FfsQueue;
 use crate::traits::{EnqueueError, QueueStats, RankedQueue};
 
 /// Maximum number of strict-priority queues (one occupancy word).
@@ -36,13 +39,11 @@ pub const MAX_QUEUES: usize = 64;
 /// Adaptive strict-priority PIFO approximation over `n ≤ 64` FIFO queues.
 #[derive(Debug, Clone)]
 pub struct SpPifoQueue<T> {
-    /// `queues[0]` is the highest priority (served first).
-    queues: Vec<VecDeque<(u64, T)>>,
+    /// Bucket `i` is queue `i`; bucket 0 is the highest priority (served
+    /// first).
+    store: FfsQueue<T>,
     /// Per-queue admission bound, sorted nondecreasing.
     bounds: Vec<u64>,
-    /// Bit `i` set ⇔ `queues[i]` is non-empty.
-    occupied: u64,
-    len: usize,
     stats: QueueStats,
 }
 
@@ -52,41 +53,21 @@ impl<T> SpPifoQueue<T> {
     pub fn new(n: usize) -> Self {
         assert!((1..=MAX_QUEUES).contains(&n), "need 1..=64 queues");
         SpPifoQueue {
-            queues: (0..n).map(|_| VecDeque::new()).collect(),
+            store: FfsQueue::with_buckets(n, 1, 0),
             bounds: vec![0; n],
-            occupied: 0,
-            len: 0,
             stats: QueueStats::default(),
         }
     }
 
     /// Number of strict-priority queues.
     pub fn num_queues(&self) -> usize {
-        self.queues.len()
+        self.bounds.len()
     }
 
     /// The current per-queue admission bounds (highest priority first).
     /// Diagnostics: the conformance suite checks they stay sorted.
     pub fn queue_bounds(&self) -> &[u64] {
         &self.bounds
-    }
-
-    /// Index of the highest-priority non-empty queue.
-    fn min_queue(&self) -> Option<usize> {
-        if self.occupied == 0 {
-            None
-        } else {
-            Some(self.occupied.trailing_zeros() as usize)
-        }
-    }
-
-    fn pop_front(&mut self, q: usize) -> (u64, T) {
-        let pair = self.queues[q].pop_front().expect("occupancy bit said so");
-        if self.queues[q].is_empty() {
-            self.occupied &= !(1u64 << q);
-        }
-        self.len -= 1;
-        pair
     }
 }
 
@@ -97,15 +78,7 @@ impl<T> RankedQueue<T> for SpPifoQueue<T> {
     /// structure's own estimate of the inversions it admits.
     fn enqueue(&mut self, rank: u64, item: T) -> Result<(), EnqueueError<T>> {
         self.stats.lookups += 1;
-        let n = self.queues.len();
-        let mut target = None;
-        for i in (0..n).rev() {
-            if self.bounds[i] <= rank {
-                target = Some(i);
-                break;
-            }
-        }
-        let q = match target {
+        let q = match self.bounds.iter().rposition(|&b| b <= rank) {
             Some(i) => {
                 self.bounds[i] = rank; // push-up
                 self.stats.est_hits += 1;
@@ -122,47 +95,27 @@ impl<T> RankedQueue<T> for SpPifoQueue<T> {
                 0
             }
         };
-        self.queues[q].push_back((rank, item));
-        self.occupied |= 1u64 << q;
-        self.len += 1;
+        self.store.push_bucket(q, rank, item);
         Ok(())
     }
 
     fn dequeue_min(&mut self) -> Option<(u64, T)> {
-        let q = self.min_queue()?;
-        Some(self.pop_front(q))
+        self.store.dequeue_min()
     }
 
-    /// Batched fast path: one `trailing_zeros` locates the serving queue,
-    /// whose FIFO is then drained directly until it empties or the batch
-    /// fills.
     fn dequeue_batch(&mut self, max: usize, out: &mut Vec<(u64, T)>) -> usize {
-        let mut n = 0;
-        while n < max {
-            let Some(q) = self.min_queue() else { break };
-            while n < max {
-                out.push(self.queues[q].pop_front().expect("occupancy bit said so"));
-                self.len -= 1;
-                n += 1;
-                if self.queues[q].is_empty() {
-                    self.occupied &= !(1u64 << q);
-                    break;
-                }
-            }
-        }
-        n
+        self.store.dequeue_batch(max, out)
     }
 
     /// The rank the next dequeue will return (front of the serving queue).
     /// Like a bucket-granular peek this can exceed ranks queued behind it —
     /// that is the approximation.
     fn peek_min_rank(&self) -> Option<u64> {
-        let q = self.min_queue()?;
-        self.queues[q].front().map(|&(r, _)| r)
+        self.store.front_rank()
     }
 
     fn len(&self) -> usize {
-        self.len
+        self.store.len()
     }
 
     fn stats(&self) -> QueueStats {

@@ -6,20 +6,47 @@
 //! (minimum-only clears for the heap index, whose only legal clear is its
 //! top). After every step the index must name the oracle's minimum, the
 //! oracle's maximum wherever it has a max path, and — after a minimum
-//! emptied — the next minimum through `next_after`.
+//! emptied — the next minimum through `next_after`. The approximate index
+//! may name any occupied bucket as the minimum, except on a dense prefix,
+//! where the paper's estimate is exact.
 
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use eiffel_core::{GradientWord, HeapIndex, HierBitmap, HierGradient, Occupancy};
+use eiffel_core::{
+    ApproxIndex, ApproxParams, GradientWord, HeapIndex, HierBitmap, HierGradient, Occupancy,
+};
 
 const SIZES: [usize; 6] = [1, 63, 64, 65, 700, 4_097];
 
+/// Asserts a minimum answer: the oracle minimum when `exact` or when the
+/// oracle is a dense prefix `0..=m` (or empty); otherwise any occupied
+/// bucket.
+fn check_min(got: Option<usize>, oracle: &BTreeSet<usize>, exact: bool, what: &str) {
+    let dense_prefix = oracle.last().map_or(0, |&m| m + 1) == oracle.len();
+    if exact || dense_prefix {
+        assert_eq!(got, oracle.first().copied(), "{what}");
+    } else {
+        assert!(
+            got.is_some_and(|b| oracle.contains(&b)),
+            "{what}: {got:?} is not occupied"
+        );
+    }
+}
+
 /// Runs `script` against `index` over `n` buckets. `has_max`: whether the
 /// index has an exact max path; `random_clear`: whether any occupied
-/// bucket may be cleared, or only the minimum.
-fn churn(mut index: impl Occupancy, n: usize, script: &[u64], has_max: bool, random_clear: bool) {
+/// bucket may be cleared, or only the minimum; `exact`: whether minimum
+/// answers are exact.
+fn churn(
+    mut index: impl Occupancy,
+    n: usize,
+    script: &[u64],
+    has_max: bool,
+    random_clear: bool,
+    exact: bool,
+) {
     let mut oracle = BTreeSet::new();
     for (step, &x) in script.iter().enumerate() {
         // Half the picks land in the first 70 buckets, so small sizes fill
@@ -36,16 +63,18 @@ fn churn(mut index: impl Occupancy, n: usize, script: &[u64], has_max: bool, ran
         } else if let Some(&m) = oracle.first() {
             oracle.remove(&m);
             index.clear(m);
-            assert_eq!(
+            check_min(
                 index.next_after(m),
-                oracle.first().copied(),
-                "n {n} step {step}: next after emptied minimum {m}"
+                &oracle,
+                exact,
+                &format!("n {n} step {step}: next after emptied minimum {m}"),
             );
         }
-        assert_eq!(
+        check_min(
             index.first_set(),
-            oracle.first().copied(),
-            "n {n} step {step}: first_set"
+            &oracle,
+            exact,
+            &format!("n {n} step {step}: first_set"),
         );
         let want_max = if has_max {
             oracle.last().copied()
@@ -66,35 +95,63 @@ proptest! {
     #[test]
     fn word_index_matches_oracle(s in script()) {
         for n in SIZES.into_iter().filter(|&n| n <= 64) {
-            churn(0u64, n, &s, true, true);
+            churn(0u64, n, &s, true, true, true);
         }
     }
 
     #[test]
     fn hier_bitmap_index_matches_oracle(s in script()) {
         for n in SIZES {
-            churn(HierBitmap::new(n), n, &s, true, true);
+            churn(HierBitmap::new(n), n, &s, true, true, true);
         }
     }
 
     #[test]
     fn gradient_word_index_matches_oracle(s in script()) {
         for n in SIZES.into_iter().filter(|&n| n <= 64) {
-            churn(GradientWord::new(), n, &s, false, true);
+            churn(GradientWord::new(), n, &s, false, true, true);
         }
     }
 
     #[test]
     fn hier_gradient_index_matches_oracle(s in script()) {
         for n in SIZES {
-            churn(HierGradient::new(n), n, &s, false, true);
+            churn(HierGradient::new(n), n, &s, false, true, true);
         }
     }
 
     #[test]
     fn heap_index_matches_oracle_under_legal_transitions(s in script()) {
         for n in SIZES {
-            churn(HeapIndex::default(), n, &s, false, false);
+            churn(HeapIndex::default(), n, &s, false, false, true);
+        }
+    }
+
+    #[test]
+    fn approx_index_answers_occupied_buckets(s in script()) {
+        for n in SIZES {
+            churn(approx(n), n, &s, true, true, false);
+        }
+    }
+}
+
+fn approx(n: usize) -> ApproxIndex {
+    ApproxIndex::new(n, ApproxParams::alpha_for_buckets(n))
+}
+
+/// The paper's exactness case at every size: a dense prefix, grown and
+/// then shrunk from the top, always answers bucket 0.
+#[test]
+fn approx_index_is_exact_on_a_dense_prefix() {
+    for n in SIZES {
+        let mut index = approx(n);
+        for b in 0..n {
+            index.set(b);
+            assert_eq!(index.first_set(), Some(0), "n {n} prefix 0..={b}");
+        }
+        for b in (1..n).rev() {
+            index.clear(b);
+            assert_eq!(index.min_for_pop(), Some(0), "n {n} prefix 0..{b}");
         }
     }
 }
