@@ -960,7 +960,8 @@ pub fn fig10_report(args: &BenchArgs, scale: &Fig10Scale) -> BenchReport {
          threaded panels bin real executed nanoseconds by wall time across shard threads",
     );
     let reports = kernel_shaping(&scale.cdf);
-    for sys in reports.iter().filter(|sys| sys.name != "fq") {
+    let virtual_panels: Vec<&HostReport> = reports.iter().filter(|sys| sys.name != "fq").collect();
+    for sys in &virtual_panels {
         r.push_sweep(fig10_panel(
             format!("virtual {} (timer fires = {})", sys.name, sys.timer_fires),
             &sys.breakdown,
@@ -995,7 +996,24 @@ pub fn fig10_report(args: &BenchArgs, scale: &Fig10Scale) -> BenchReport {
          to \"softirq\", with the same modelled IRQ/lock constants, so the Carousel-vs-Eiffel \
          softirq gap is comparable across clocks.",
     );
+    r.note(meter_note(
+        "virtual-clock",
+        virtual_panels.iter().map(|s| s.meter_timed_calls).sum(),
+        virtual_panels.iter().map(|s| s.meter_calls).sum(),
+    ));
     r
+}
+
+/// The report note that puts a CPU meter's sample in scale: how many of
+/// its metered calls it timed.
+fn meter_note(clock: &str, timed: u64, calls: u64) -> String {
+    format!(
+        "{clock} meter timed {timed} of {calls} calls (share {:.4}); the virtual-clock meter \
+         samples about one call in {} per category, in bursts, and charges each burst for the \
+         calls it stands for; the wall-clock meter times every call.",
+        timed as f64 / calls.max(1) as f64,
+        eiffel_sim::cpu::SAMPLE_GAP,
+    )
 }
 
 /// Scale knobs of the Figure 16 harness (drain Mpps vs packets/bucket).
@@ -2322,6 +2340,12 @@ pub fn fig_overload_report(args: &BenchArgs, scale: &OverloadScale) -> BenchRepo
         all_tiers.tiers_exercised(),
         DegradeTier::COUNT,
     ));
+    // Every overload cell runs on the threaded runtime.
+    r.note(meter_note(
+        "wall-clock",
+        totals.meter_timed_calls,
+        totals.meter_calls,
+    ));
     r.note(
         "Caveats: overload cells end at the wall limit mid-stream by design (finite flows \
          cannot drain at these flow counts), so absolute Mpps depends on host CPU; the \
@@ -2520,6 +2544,8 @@ struct OverloadReportTotals {
     setup_refused: u64,
     mem_deferrals: u64,
     mem_peak_bytes: u64,
+    meter_calls: u64,
+    meter_timed_calls: u64,
 }
 
 impl OverloadReportTotals {
@@ -2532,6 +2558,10 @@ impl OverloadReportTotals {
         self.setup_refused += r.setup_refused;
         self.mem_deferrals += r.mem_deferrals;
         self.mem_peak_bytes = self.mem_peak_bytes.max(r.mem_peak_bytes);
+        for s in &r.per_shard {
+            self.meter_calls += s.meter_calls;
+            self.meter_timed_calls += s.meter_timed_calls;
+        }
     }
 }
 

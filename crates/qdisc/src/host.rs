@@ -237,6 +237,17 @@ pub struct HostReport {
     pub achieved_bps: f64,
     /// Timer fires observed.
     pub timer_fires: u64,
+    /// Metered calls on the host's core.
+    pub meter_calls: u64,
+    /// Of those, the calls its sampled meter timed (about one in 16).
+    pub meter_timed_calls: u64,
+}
+
+impl HostReport {
+    /// Share of metered calls the meter timed.
+    pub fn meter_timed_share(&self) -> f64 {
+        self.meter_timed_calls as f64 / self.meter_calls.max(1) as f64
+    }
 }
 
 /// When the qdisc wants its timer next, given the current instant.
@@ -280,6 +291,8 @@ pub fn run(qdisc: impl ShaperQdisc, cfg: &HostConfig) -> HostReport {
         transmitted: report.transmitted,
         achieved_bps: report.achieved_bps,
         timer_fires: report.timer_fires,
+        meter_calls: meter.calls(),
+        meter_timed_calls: meter.timed_calls(),
     }
 }
 

@@ -21,7 +21,14 @@
 //!   the single-shard host — pinned by the shard-equivalence property test.
 //! * **Per-shard timers and CPU meters**: each simulated core arms its own
 //!   softirq timer from its own qdisc's `next_deadline` and meters its own
-//!   enqueue/dequeue nanoseconds.
+//!   enqueue/dequeue nanoseconds. The meters are
+//!   [sampled](eiffel_sim::CpuMeter::sampled): they time about one call in
+//!   16 per category, in short bursts, and charge each burst for the calls
+//!   it stands for, because two clock reads per call cost more than the
+//!   qdisc work they bracket.
+//!   No virtual-time decision reads a meter, so every count, release and
+//!   drop is the same as under a census meter; only the cores' sampling
+//!   noise grows ([`ShardStats::meter_timed_share`] reports the sample).
 //! * **Batched dequeue**: the softirq drain goes through
 //!   [`ShaperQdisc::dequeue_batch`] with [`HostConfig::batch`](crate::HostConfig).
 //!
@@ -197,6 +204,11 @@ pub struct ShardStats {
     pub timer_fires: u64,
     /// Median cores of this core's meter (system + softirq).
     pub median_cores: f64,
+    /// Metered calls (enqueues, evictions, drains) on this core.
+    pub meter_calls: u64,
+    /// Of those, the calls the meter timed: all of them on the wall
+    /// clock, about one in 16 on the virtual clock.
+    pub meter_timed_calls: u64,
     /// Peak packets inside this shard's qdisc.
     pub peak_backlog: usize,
     /// Arrivals dropped by the admission policy at this shard's qdisc
@@ -215,6 +227,14 @@ pub struct ShardStats {
     pub tiers: TierCounters,
     /// Sojourn histogram of this shard's released packets.
     pub sojourn: SojournHist,
+}
+
+impl ShardStats {
+    /// Share of metered calls the meter timed (1 for a census meter; 0
+    /// before any call).
+    pub fn meter_timed_share(&self) -> f64 {
+        self.meter_timed_calls as f64 / self.meter_calls.max(1) as f64
+    }
 }
 
 /// The merged result: per-shard slices plus host-level aggregates.
@@ -553,6 +573,8 @@ impl<Q: ShaperQdisc> Shard<Q> {
             dropped: self.dropped,
             timer_fires: self.timer_fires,
             median_cores: self.meter.median_cores(),
+            meter_calls: self.meter.calls(),
+            meter_timed_calls: self.meter.timed_calls(),
             peak_backlog: self.peak_backlog,
             admission_dropped: self.admission_dropped,
             ecn_marked: self.ecn_marked,
@@ -826,7 +848,7 @@ pub(crate) fn drive<'a, Q: ShaperQdisc>(
     let host = &cfg.host;
     let n_shards = cfg.shards.max(1);
     let mut shards: Vec<Shard<Q>> = (0..n_shards)
-        .map(|i| Shard::new(mk(i), CpuMeter::new(host.bin, host.duration)))
+        .map(|i| Shard::new(mk(i), CpuMeter::sampled(host.bin, host.duration)))
         .collect();
     let home: Vec<u32> = (0..host.flows as u32)
         .map(|f| shard_of(f, n_shards) as u32)
