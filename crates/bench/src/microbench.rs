@@ -31,7 +31,7 @@ use eiffel_sim::SplitMix64;
 
 /// SP-PIFO's queue count in the bake-off: 32 strict-priority FIFOs, the
 /// mid-size configuration of the SP-PIFO paper's evaluation (8–64).
-pub const SP_PIFO_QUEUES: u32 = 32;
+const SP_PIFO_QUEUES: u32 = 32;
 
 /// The bake-off contenders: the three §5.2 incumbents plus the two
 /// integer-only related-work backends (SP-PIFO, RIFO) added in PR 7.
@@ -43,7 +43,7 @@ pub enum QueueUnderTest {
     Cffs,
     /// Approximate gradient queue.
     Approx,
-    /// SP-PIFO adaptive strict-priority mapping ([`SP_PIFO_QUEUES`] queues).
+    /// SP-PIFO adaptive strict-priority mapping (32 queues).
     SpPifo,
     /// RIFO adaptive rank-range bucket mapping over `nb` buckets.
     Rifo,
@@ -120,7 +120,7 @@ impl FillOrder {
     /// Fills the buffer with `fill` distinct bucket indices out of
     /// `[0, nb)` following `pattern`, reseeded from `seed`, and returns
     /// the slice.
-    pub fn prepare(&mut self, nb: usize, pattern: FillPattern, fill: usize, seed: u64) -> &[u64] {
+    fn prepare(&mut self, nb: usize, pattern: FillPattern, fill: usize, seed: u64) -> &[u64] {
         let fill = fill.clamp(1, nb);
         self.order.clear();
         match pattern {

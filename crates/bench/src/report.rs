@@ -142,7 +142,7 @@ impl BenchArgs {
 
 /// Environment metadata recorded in every report.
 #[derive(Debug, Clone)]
-pub struct Environment {
+struct Environment {
     /// CPU model (from `/proc/cpuinfo`) or OS name as a fallback.
     pub host: String,
     /// Available hardware parallelism.
@@ -159,7 +159,7 @@ pub struct Environment {
 
 impl Environment {
     /// Captures the current process environment.
-    pub fn capture() -> Self {
+    fn capture() -> Self {
         Environment {
             host: cpu_model(),
             cpus: std::thread::available_parallelism()
@@ -499,7 +499,7 @@ pub struct BenchReport {
     /// Operating-point configuration recorded for reproducibility.
     pub config: Vec<(String, JsonValue)>,
     /// Captured environment metadata.
-    pub env: Environment,
+    env: Environment,
     /// Numeric result blocks.
     pub sweeps: Vec<Sweep>,
     /// Qualitative result blocks.
@@ -601,7 +601,7 @@ impl BenchReport {
     }
 
     /// Renders the report to stdout in the figure binaries' table style.
-    pub fn render(&self) {
+    fn render(&self) {
         banner(
             &format!("{} — {}", self.artifact.to_uppercase(), self.title),
             &if self.quick {

@@ -54,7 +54,7 @@ pub struct KernelShapingScale {
 
 impl KernelShapingScale {
     /// The paper's workload at a shortened duration.
-    pub fn default_scale() -> Self {
+    fn default_scale() -> Self {
         KernelShapingScale {
             flows: 20_000,
             aggregate: Rate::gbps(24),
@@ -96,7 +96,7 @@ pub fn kernel_shaping(scale: &KernelShapingScale) -> Vec<HostReport> {
 }
 
 /// The Figure 9 claim quoted by the binary banner and EXPERIMENTS.md.
-pub const FIG9_PAPER_CLAIM: &str =
+const FIG9_PAPER_CLAIM: &str =
     "Eiffel outperforms FQ by a median 14x and Carousel by 3x (§5.1.1, Figure 9).";
 
 /// Per-flow pacing rate of the Figure 9 workload (paper: 24 Gbps over
@@ -414,7 +414,7 @@ pub fn hclock_max_rate(
 /// The paper's Figure 12 claim, §5.1.2 ("hClock in BESS"): the single
 /// sentence both the binary banner and EXPERIMENTS.md quote, kept in one
 /// place so they cannot drift apart again.
-pub const FIG12_PAPER_CLAIM: &str = "Eiffel's hClock sustains the maximum configured rate at up \
+const FIG12_PAPER_CLAIM: &str = "Eiffel's hClock sustains the maximum configured rate at up \
      to 10x the number of flows compared to the priority-queue hClock, with a larger advantage \
      over BESS tc (§5.1.2, Figure 12).";
 
@@ -545,7 +545,7 @@ pub fn pfabric_max_rate(eiffel: bool, flows: usize, dur: Duration) -> f64 {
 /// through the batched trait path with `batch` packets per call.
 /// `(shards, batch) = (1, 1)` is the classic single-instance
 /// packet-at-a-time cell of [`pfabric_max_rate`].
-pub fn pfabric_max_rate_sharded(
+fn pfabric_max_rate_sharded(
     eiffel: bool,
     flows: usize,
     shards: usize,
@@ -576,7 +576,7 @@ pub fn pfabric_max_rate_sharded(
 }
 
 /// The Figure 15 claim quoted by the binary banner and EXPERIMENTS.md.
-pub const FIG15_PAPER_CLAIM: &str = "Eiffel's pFabric sustains line rate at 5x the number of \
+const FIG15_PAPER_CLAIM: &str = "Eiffel's pFabric sustains line rate at 5x the number of \
      flows the binary-heap implementation can handle, whose rate collapses as re-heapification \
      costs grow with the flow count (§5.1.3, Figure 15).";
 
@@ -683,7 +683,7 @@ pub struct FctPoint {
 
 impl FctPoint {
     /// Event-loop throughput in million events per second.
-    pub fn mev_per_sec(&self) -> f64 {
+    fn mev_per_sec(&self) -> f64 {
         self.events as f64 / self.wall_secs / 1e6
     }
 }
@@ -716,7 +716,7 @@ pub fn pfabric_fct_sweep(
 }
 
 /// The Figure 19 claim quoted by the binary banner and EXPERIMENTS.md.
-pub const FIG19_PAPER_CLAIM: &str = "\"approximation has minimal effect on overall network \
+const FIG19_PAPER_CLAIM: &str = "\"approximation has minimal effect on overall network \
      behavior\" — the two pFabric series should track each other and beat DCTCP on small-flow \
      FCT (§5.2, Figure 19).";
 
@@ -915,7 +915,7 @@ impl Fig10Scale {
 }
 
 /// The Figure 10 claim quoted by the binary banner and EXPERIMENTS.md.
-pub const FIG10_PAPER_CLAIM: &str = "\"the main difference is in the overhead introduced by \
+const FIG10_PAPER_CLAIM: &str = "\"the main difference is in the overhead introduced by \
      Carousel in firing timers at constant intervals while Eiffel can trigger timers exactly \
      when needed\" — the softirq share should dominate Carousel's total (§5.1.1, Figure 10).";
 
@@ -1057,7 +1057,7 @@ impl Fig16Scale {
 }
 
 /// The Figure 16 claim quoted by the binary banner and EXPERIMENTS.md.
-pub const FIG16_PAPER_CLAIM: &str = "at few packets per bucket the approximate queue leads (up \
+const FIG16_PAPER_CLAIM: &str = "at few packets per bucket the approximate queue leads (up \
      to 9% over cFFS at 10k buckets); more packets per bucket amortize the min-find and the \
      queues converge; BH trails throughout (§5.2, Figure 16).";
 
@@ -1229,7 +1229,7 @@ impl Fig17Scale {
 }
 
 /// The Figure 17 claim quoted by the binary banner and EXPERIMENTS.md.
-pub const FIG17_PAPER_CLAIM: &str = "empty buckets trigger the approximate queue's linear \
+const FIG17_PAPER_CLAIM: &str = "empty buckets trigger the approximate queue's linear \
      search, so its throughput climbs with occupancy; cFFS is insensitive (§5.2, Figure 17).";
 
 /// Builds the complete Figure 17 report: one panel per `(bucket count,
@@ -1329,7 +1329,7 @@ impl Fig18Scale {
 }
 
 /// The Figure 18 claim quoted by the binary banner and EXPERIMENTS.md.
-pub const FIG18_PAPER_CLAIM: &str = "error grows as buckets empty (≈12 at 0.7 occupancy down \
+const FIG18_PAPER_CLAIM: &str = "error grows as buckets empty (≈12 at 0.7 occupancy down \
      to ≈2 near full for 10k buckets); \"cases where the queue is more than 30% empty should \
      trigger changes in the queue's granularity\" (§5.2, Figure 18).";
 
@@ -1482,7 +1482,7 @@ pub fn table1_rows() -> Vec<Vec<String>> {
 
 /// The five integer backends of the chaos bake-off, labelled
 /// ([`QueueKind::label`]) as in the Figure 16/17/18 quality panels.
-pub const CHAOS_BACKENDS: [QueueKind; 5] = [
+const CHAOS_BACKENDS: [QueueKind; 5] = [
     QueueKind::ApproxGradient { alpha: 64 },
     QueueKind::Cffs,
     QueueKind::BucketHeap,
@@ -1491,7 +1491,7 @@ pub const CHAOS_BACKENDS: [QueueKind; 5] = [
 ];
 
 /// One fault family per degradation panel, every family the plan DSL has.
-pub const CHAOS_FAMILIES: [FaultFamily; 5] = [
+const CHAOS_FAMILIES: [FaultFamily; 5] = [
     FaultFamily::Stall,
     FaultFamily::TimerJitter,
     FaultFamily::SlowConsumer,
@@ -1556,7 +1556,7 @@ impl ChaosScale {
 
 /// Aggregate outcome of one chaos cell.
 #[derive(Debug, Clone)]
-pub struct ChaosCell {
+struct ChaosCell {
     /// Packets released per wall second, millions.
     pub mpps: f64,
     /// Transmit-weighted mean in-qdisc sojourn, µs.
@@ -1571,7 +1571,7 @@ pub struct ChaosCell {
 /// workload, seeded single-family storm, ECN-marking admission, watchdog
 /// on — then asserts packet conservation on the result (in release builds
 /// too; the runtime's own `debug_assert` only guards dev runs).
-pub fn chaos_cell(
+fn chaos_cell(
     kind: QueueKind,
     scale: &ChaosScale,
     family: FaultFamily,
@@ -1650,7 +1650,7 @@ pub fn chaos_cell(
 /// large rank drop into queues whose SP-PIFO bounds the previous ramp
 /// just pushed up — the classic adversarial arrival order. Exact backends
 /// drain a fill-then-drain script perfectly whatever the arrival order.
-pub fn adversarial_quality(
+fn adversarial_quality(
     kind: QueueKind,
     pattern: RankPattern,
     flows: usize,
@@ -1961,7 +1961,7 @@ impl OverloadScale {
 
 /// Aggregate outcome of one overload cell.
 #[derive(Debug, Clone)]
-pub struct OverloadCell {
+struct OverloadCell {
     /// Packets released per wall second, millions.
     pub goodput_mpps: f64,
     /// p99 in-qdisc sojourn, ms (merged across shards).
@@ -1984,7 +1984,7 @@ impl OverloadCell {
     /// Goodput counting only packets that met the latency SLO: releases
     /// whose in-qdisc sojourn was at most `slo_ns`. The overload
     /// literature's collapse metric — late deliveries are useless work.
-    pub fn slo_goodput_mpps(&self, slo_ns: u64) -> f64 {
+    fn slo_goodput_mpps(&self, slo_ns: u64) -> f64 {
         self.goodput_mpps * self.sojourn.frac_le(slo_ns)
     }
 }
@@ -2001,7 +2001,7 @@ impl OverloadCell {
 /// host delivers when not overloaded. (Open-loop sources cannot serve
 /// here: they are deliberately unpaced bulk senders, so an "uncongested"
 /// open-loop cell would just measure burst drain rate.)
-pub fn overload_cell(
+fn overload_cell(
     scale: &OverloadScale,
     dist: FlowSizeDist,
     flows: usize,
@@ -2132,7 +2132,7 @@ pub fn overload_cell(
 
 /// Per-shard ECN/drop/shed counter table — the per-core observability
 /// slice of one threaded run, as recorded in the report JSON.
-pub fn per_shard_counters_table(name: &str, rep: &ThreadedReport) -> TextTable {
+fn per_shard_counters_table(name: &str, rep: &ThreadedReport) -> TextTable {
     let mut t = TextTable::new(
         name,
         &[
@@ -2489,7 +2489,7 @@ fn tree_policy_cell(policy: usize, batch: usize, scale: &TreePolicyScale) -> f64
 }
 
 /// The tree-policy claim quoted by the binary banner and EXPERIMENTS.md.
-pub const TREE_POLICY_PAPER_CLAIM: &str = "policies are \"programmed\" as per-node ranking \
+const TREE_POLICY_PAPER_CLAIM: &str = "policies are \"programmed\" as per-node ranking \
      transactions over one priority-queue substrate (§3.2), so a new discipline costs a \
      ~100-line program, not a new data structure; per-packet cost stays flat across them.";
 

@@ -20,7 +20,7 @@ use eiffel_pifo::FlowScheduler;
 use eiffel_sim::{Nanos, Packet};
 
 /// Maximum remaining size (in packets) the rank space must represent.
-pub const MAX_REMAINING: u64 = 1 << 20;
+const MAX_REMAINING: u64 = 1 << 20;
 
 /// Eiffel's pFabric: per-flow transaction + on-dequeue ranking over HFFS.
 pub struct PfabricEiffel {

@@ -89,7 +89,7 @@ pub enum Admission {
 impl AdmitPolicy {
     /// Decides admission for one arrival given the current backlog (in
     /// packets) of the target qdisc.
-    pub fn decide(&self, backlog: usize) -> Admission {
+    fn decide(&self, backlog: usize) -> Admission {
         match *self {
             AdmitPolicy::Unlimited => Admission::Enqueue,
             AdmitPolicy::TailDrop { cap } => {
@@ -119,8 +119,8 @@ impl AdmitPolicy {
     }
 
     /// Decides admission for one arrival under a memory-pressure tier.
-    /// `DegradeTier::Normal` is exactly [`AdmitPolicy::decide`]; higher
-    /// tiers tighten the policy as described in the module docs.
+    /// Under `DegradeTier::Normal` the policy applies as configured; higher
+    /// tiers tighten it as described in the module docs.
     pub fn decide_tiered(&self, backlog: usize, tier: DegradeTier) -> Admission {
         match (*self, tier) {
             (_, DegradeTier::Normal) | (AdmitPolicy::Unlimited, _) => self.decide(backlog),

@@ -48,19 +48,19 @@ pub struct ChaosConfig {
     pub watchdog: Option<WatchdogConfig>,
 }
 
-impl ChaosConfig {
-    /// True when this config changes nothing about a run: no fault
-    /// windows, unlimited admission, and no watchdog.
-    pub fn is_noop(&self) -> bool {
-        self.plan.is_empty()
-            && matches!(self.admit, AdmitPolicy::Unlimited)
-            && self.watchdog.is_none()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ChaosConfig {
+        /// True when this config changes nothing about a run: no fault
+        /// windows, unlimited admission, and no watchdog.
+        fn is_noop(&self) -> bool {
+            self.plan.is_empty()
+                && matches!(self.admit, AdmitPolicy::Unlimited)
+                && self.watchdog.is_none()
+        }
+    }
 
     #[test]
     fn default_config_is_noop() {

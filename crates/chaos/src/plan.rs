@@ -302,15 +302,6 @@ pub struct ShardFaults {
 }
 
 impl ShardFaults {
-    /// A view with no faults (for shards outside any plan).
-    pub fn none(shard: usize) -> Self {
-        ShardFaults {
-            shard,
-            seed: 0,
-            windows: Vec::new(),
-        }
-    }
-
     /// True when this shard has no windows at all.
     pub fn is_empty(&self) -> bool {
         self.windows.is_empty()
@@ -388,16 +379,6 @@ impl ShardFaults {
             }
             _ => false,
         })
-    }
-
-    /// The next window edge strictly after `after`, if any — where the
-    /// shard's fault behavior next changes.
-    pub fn next_change(&self, after: Nanos) -> Option<Nanos> {
-        self.windows
-            .iter()
-            .flat_map(|w| [w.from, w.until])
-            .filter(|&t| t > after)
-            .min()
     }
 }
 
@@ -499,6 +480,17 @@ mod tests {
     fn boundaries_are_sorted_dedup_edges() {
         let plan = FaultPlan::new(1).stall(0, 10, 20).stall(1, 10, 30);
         assert_eq!(plan.boundaries(), vec![10, 20, 30]);
+    }
+
+    impl ShardFaults {
+        /// The next window edge strictly after `after`, if any.
+        fn next_change(&self, after: Nanos) -> Option<Nanos> {
+            self.windows
+                .iter()
+                .flat_map(|w| [w.from, w.until])
+                .filter(|&t| t > after)
+                .min()
+        }
     }
 
     #[test]

@@ -102,12 +102,6 @@ impl ApproxParams {
         }
     }
 
-    /// The paper's configuration: α = 16 with its decay threshold, giving
-    /// I0 = 124 and shift ⌊|u(α)|⌋ = 22 (§3.1.2's worked example).
-    pub fn paper_alpha16() -> Self {
-        ApproxParams::derive(16, 0.0045)
-    }
-
     /// Maximum bucket count for which the weights stay inside the f64
     /// *exponent* range (`(I0 + nb)/α ≲ 1000`).
     ///
@@ -679,11 +673,6 @@ impl<T> Bucketed<ApproxIndex, T> {
         self
     }
 
-    /// The derived α/I0/shift constants in use.
-    pub fn params(&self) -> &ApproxParams {
-        &self.index.params
-    }
-
     /// The pre-integer f64 estimator's `(selected offset, estimated
     /// offset)` over the current occupancy, offset `k` being bucket
     /// `nb−1−k`.
@@ -721,10 +710,10 @@ mod tests {
     use crate::traits::{EnqueueErrorKind, RankedQueue};
 
     /// Reproduces the paper's α = 16 worked example: I0 = 124 and
-    /// ⌊|u(α)|⌋ = 22 under the paper's decay threshold.
+    /// ⌊|u(α)|⌋ = 22 under the paper's decay threshold, 0.0045.
     #[test]
     fn paper_alpha16_parameters() {
-        let p = ApproxParams::paper_alpha16();
+        let p = ApproxParams::derive(16, 0.0045);
         assert_eq!(p.i0, 124);
         assert_eq!(p.shift.floor() as u32, 22);
         // 523 buckets fit comfortably: Imax = 124 + 523 = 647 as in the paper.

@@ -275,14 +275,6 @@ impl<T> Bucketed<HierBitmap, T> {
     pub fn with_base(n: usize, granularity: u64, base: u64) -> Self {
         Self::with_index(HierBitmap::new(n), n, granularity, base)
     }
-
-    /// Rank lower edge of the first non-empty bucket whose rank is ≥ `rank`.
-    pub fn peek_min_rank_from(&self, rank: u64) -> Option<u64> {
-        let from = rank
-            .checked_sub(self.base)
-            .map_or(0, |off| self.granularity.div(off) as usize);
-        self.index.first_set_from(from).map(|b| self.edge(b))
-    }
 }
 
 impl<T> Bucketed<u64, T> {
@@ -476,6 +468,17 @@ mod tests {
         assert!(q.enqueue(999, ()).is_ok());
         let err = q.enqueue(1_000, ()).unwrap_err();
         assert_eq!(err.kind, EnqueueErrorKind::OutOfRange);
+    }
+
+    impl<T> HierFfsQueue<T> {
+        /// Rank lower edge of the first non-empty bucket whose rank is
+        /// ≥ `rank`.
+        fn peek_min_rank_from(&self, rank: u64) -> Option<u64> {
+            let from = rank
+                .checked_sub(self.base)
+                .map_or(0, |off| self.granularity.div(off) as usize);
+            self.index.first_set_from(from).map(|b| self.edge(b))
+        }
     }
 
     #[test]

@@ -150,23 +150,6 @@ impl<T> Buckets<T> {
         self.lists[i].head == NIL
     }
 
-    /// Number of elements in bucket `i` (walks the list; diagnostics only).
-    pub fn bucket_len(&self, i: usize) -> usize {
-        let mut n = 0;
-        let mut idx = self.lists[i].head;
-        while idx != NIL {
-            n += 1;
-            idx = self.nodes[idx as usize].next;
-        }
-        n
-    }
-
-    /// Drains every element of bucket `i`, oldest first. Elements not
-    /// consumed by the iterator are still removed when it drops.
-    pub fn drain_bucket(&mut self, i: usize) -> DrainBucket<'_, T> {
-        DrainBucket { buckets: self, i }
-    }
-
     /// Nodes ever allocated in the slab (live + free-listed). Bounded by
     /// *peak* occupancy — steady-state churn recycles instead of growing —
     /// which the churn property tests pin. Diagnostics only.
@@ -191,53 +174,6 @@ impl<T> Buckets<T> {
         }
         n
     }
-
-    /// Removes every element for which `pred` returns false from bucket `i`,
-    /// preserving FIFO order of the survivors. Returns the removed elements.
-    ///
-    /// This is O(bucket length) and exists for *failure-injection tests* and
-    /// explicit flow teardown, not the data path (the data path uses lazy
-    /// invalidation instead — see `eiffel-pifo`).
-    ///
-    /// Allocation-free in the common case: survivors rotate in place
-    /// through the bucket's own FIFO, and the returned `Vec` only allocates
-    /// when something is actually removed — most calls remove nothing.
-    pub fn retain_bucket<F: FnMut(u64, &T) -> bool>(
-        &mut self,
-        i: usize,
-        mut pred: F,
-    ) -> Vec<(u64, T)> {
-        let mut removed = Vec::new();
-        for _ in 0..self.bucket_len(i) {
-            let (r, t) = self.pop(i).expect("iterating bucket length");
-            if pred(r, &t) {
-                self.push(i, r, t);
-            } else {
-                removed.push((r, t));
-            }
-        }
-        removed
-    }
-}
-
-/// Iterator returned by [`Buckets::drain_bucket`].
-pub struct DrainBucket<'a, T> {
-    buckets: &'a mut Buckets<T>,
-    i: usize,
-}
-
-impl<T> Iterator for DrainBucket<'_, T> {
-    type Item = (u64, T);
-
-    fn next(&mut self) -> Option<(u64, T)> {
-        self.buckets.pop(self.i)
-    }
-}
-
-impl<T> Drop for DrainBucket<'_, T> {
-    fn drop(&mut self) {
-        while self.buckets.pop(self.i).is_some() {}
-    }
 }
 
 #[cfg(test)]
@@ -257,47 +193,6 @@ mod tests {
         assert_eq!(b.pop(2), Some((20, 'c')));
         assert_eq!(b.pop(2), None);
         assert!(b.is_empty());
-    }
-
-    #[test]
-    fn drain_updates_len() {
-        let mut b: Buckets<u32> = Buckets::new(2);
-        b.push(0, 1, 10);
-        b.push(0, 2, 11);
-        b.push(1, 3, 12);
-        let drained: Vec<_> = b.drain_bucket(0).collect();
-        assert_eq!(drained, vec![(1, 10), (2, 11)]);
-        assert_eq!(b.len(), 1);
-    }
-
-    #[test]
-    fn dropped_drain_still_empties_the_bucket() {
-        let mut b: Buckets<u32> = Buckets::new(2);
-        for v in 0..5 {
-            b.push(0, v, v as u32);
-        }
-        b.push(1, 9, 9);
-        {
-            let mut d = b.drain_bucket(0);
-            assert_eq!(d.next(), Some((0, 0)));
-            // Dropped with four elements unconsumed.
-        }
-        assert!(b.bucket_is_empty(0));
-        assert_eq!(b.len(), 1);
-        assert_eq!(b.pop(1), Some((9, 9)));
-    }
-
-    #[test]
-    fn retain_removes_and_reports() {
-        let mut b: Buckets<u32> = Buckets::new(1);
-        for v in 0..6 {
-            b.push(0, v, v as u32);
-        }
-        let removed = b.retain_bucket(0, |r, _| r % 2 == 0);
-        assert_eq!(removed.len(), 3);
-        assert_eq!(b.len(), 3);
-        assert_eq!(b.pop(0), Some((0, 0)));
-        assert_eq!(b.pop(0), Some((2, 2)));
     }
 
     /// The slab recycles freed nodes: heavy churn must not grow storage

@@ -48,11 +48,10 @@ impl<T> CachePadded<T> {
 ///
 /// The owning (writer) thread uses [`CounterBlock::add`] / [`set`]
 /// (plain load + store — it is the only writer, so no `fetch_add` is
-/// needed); reader threads use [`read`] / [`snapshot`].
+/// needed); reader threads use [`read`].
 ///
 /// [`set`]: CounterBlock::set
 /// [`read`]: CounterBlock::read
-/// [`snapshot`]: CounterBlock::snapshot
 #[derive(Debug)]
 pub struct CounterBlock<const N: usize> {
     slots: [CachePadded<AtomicU64>; N],
@@ -83,12 +82,6 @@ impl<const N: usize> CounterBlock<N> {
     pub fn read(&self, i: usize) -> u64 {
         self.slots[i].get().load(Ordering::Relaxed)
     }
-
-    /// Reads all counters. Per-counter consistent, not a cross-counter
-    /// snapshot (see the module docs).
-    pub fn snapshot(&self) -> [u64; N] {
-        std::array::from_fn(|i| self.read(i))
-    }
 }
 
 impl<const N: usize> Default for CounterBlock<N> {
@@ -110,7 +103,8 @@ mod tests {
         assert_eq!(c.read(0), 12);
         assert_eq!(c.read(1), 100);
         assert_eq!(c.read(2), 0);
-        assert_eq!(c.snapshot(), [12, 100, 0]);
+        let all: [u64; 3] = std::array::from_fn(|i| c.read(i));
+        assert_eq!(all, [12, 100, 0]);
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! The Figure 20 decision tree, as an executable function.
 //!
 //! §5.2 closes with "A Guide for Choosing a Priority Queue for Packet
-//! Scheduling". Encoding it as code keeps the guidance testable and lets the
-//! policy compiler (`eiffel-pifo`) pick a queue automatically from a policy
-//! description.
+//! Scheduling". Encoding it as code keeps the guidance testable. Only the
+//! `fig20_guide` binary and the `quickstart` example call [`recommend`]
+//! today: the policy compiler (`eiffel-pifo`) still hand-picks each node's
+//! queue in `NodeProgram::queue_hint`, and routing that choice through this
+//! function is ROADMAP item 17.
 
 /// Characteristics of a scheduling algorithm, as asked by Figure 20.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,7 +23,7 @@ pub struct UseCase {
 /// The paper's empirically determined threshold: "we found in our
 /// experiments that this threshold is 1k and that the difference in
 /// performance is not significant around the threshold" (§5.2).
-pub const LEVEL_THRESHOLD: usize = 1_000;
+const LEVEL_THRESHOLD: usize = 1_000;
 
 /// Which queue to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,7 +36,9 @@ pub enum Recommendation {
     /// Moving range, uneven occupancy: the circular hierarchical FFS queue.
     Cffs,
     /// Moving range, highly/uniformly occupied levels: the approximate
-    /// gradient queue wins (by up to 9%, §5.2).
+    /// gradient queue wins (by up to 9%, §5.2). Over a moving range that is
+    /// [`crate::CircularApproxQueue`], two approximate queues behind one
+    /// rotating window.
     ApproxGradient,
 }
 

@@ -1,7 +1,7 @@
 //! Hierarchical occupancy bitmap — the meta-data of Figure 3.
 //!
 //! The leaves carry one bit per bucket. The first summary level is
-//! **multi-word**: each level-1 bit covers a *group* of [`GROUP_WORDS`]
+//! **multi-word**: each level-1 bit covers a *group* of four
 //! leaf words (256 buckets), and levels above summarize 64 child words per
 //! bit as before. The wider leaf fanout cuts a level off every mid-sized
 //! hierarchy — 10k buckets descend in 2 levels instead of 3, 512k in 3
@@ -34,13 +34,13 @@ use crate::word;
 const MAX_DEPTH: usize = 6;
 
 /// Leaf words summarized by one level-1 bit (256 buckets per bit).
-pub const GROUP_WORDS: usize = 4;
+const GROUP_WORDS: usize = 4;
 
 /// Hierarchical bitmap over `len` buckets.
 ///
 /// Words are stored leaves-first in one slab; `offs[l]` is the start of
 /// level `l`. For `len <= 64` there is exactly one level (the root is the
-/// leaf word). Level 1 (when present) holds one bit per [`GROUP_WORDS`]
+/// leaf word). Level 1 (when present) holds one bit per group of four
 /// leaf words; higher levels hold one bit per child word.
 #[derive(Debug, Clone)]
 pub struct HierBitmap {
@@ -238,7 +238,7 @@ impl HierBitmap {
     }
 
     /// Lowest occupied bucket: one FFS per level, descending from the root,
-    /// then a ≤ [`GROUP_WORDS`]-word scan of the minimum leaf group.
+    /// then a ≤ 4-word scan of the minimum leaf group.
     #[inline]
     pub fn first_set(&self) -> Option<usize> {
         let root = self.words[self.root as usize];

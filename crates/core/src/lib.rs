@@ -18,9 +18,7 @@
 //! |---|---|---|---|---|
 //! | [`FfsQueue`] | Fig 2 | `u64` word | fixed, ≤ 64 buckets | one `trailing_zeros` |
 //! | [`HierFfsQueue`] | Fig 3 (PIQ-style) | [`HierBitmap`] | fixed, any N | `log₆₄ N` word ops |
-//! | [`GradientQueue`] | §3.1.2 exact | [`GradientWord`] | fixed, ≤ 64 buckets | one `leading_zeros` (Theorem 1) |
-//! | [`HierGradientQueue`] | §3.1.2 exact | [`HierGradient`] | fixed, any N | one per level |
-//! | [`ApproxGradientQueue`] | §3.1.2 approximate | [`ApproxIndex`] (the curvature estimator) | fixed, ~52·α buckets | integer add/compare, no division (+ search on miss) |
+//! | [`ApproxGradientQueue`] | §3.1.2 approximate | [`ApproxIndex`] (the curvature estimator) | fixed, ≤ 900·α buckets ([`ApproxParams::max_buckets`]); a dense queue is exact up to 48·α | integer add/compare, no division (+ search on miss) |
 //! | [`BucketHeapQueue`] | §5.2 baseline "BH" | [`HeapIndex`] | fixed | O(log N) heap op per transition |
 //!
 //! Over that store sit the rank mappings; the comparison baselines and
@@ -68,7 +66,6 @@ pub mod buckets;
 pub mod cffs;
 pub mod comparison;
 pub mod counters;
-pub mod gradient;
 pub mod guide;
 pub mod hierbitmap;
 pub mod membudget;
@@ -86,7 +83,6 @@ pub use bucketed::{BucketHeapQueue, Bucketed, FfsQueue, HeapIndex, HierFfsQueue,
 pub use cffs::{CffsQueue, Circular};
 pub use comparison::{HeapPq, TreePq};
 pub use counters::{CachePadded, CounterBlock};
-pub use gradient::{GradientQueue, GradientWord, HierGradient, HierGradientQueue};
 pub use guide::{recommend, Recommendation, UseCase};
 pub use hierbitmap::HierBitmap;
 pub use membudget::{DegradeTier, MemBudget, FLOW_SETUP_BYTES, PKT_SLAB_BYTES};

@@ -95,7 +95,7 @@ pub struct MemBudget {
 impl MemBudget {
     /// Default tier thresholds as percent of budget: pressure at 60%,
     /// shed at 80%, refuse at 95%.
-    pub const DEFAULT_THRESHOLDS: (u64, u64, u64) = (60, 80, 95);
+    const DEFAULT_THRESHOLDS: (u64, u64, u64) = (60, 80, 95);
 
     /// A budget of `bytes` with the default tier thresholds.
     pub fn new(bytes: u64) -> MemBudget {

@@ -106,13 +106,6 @@ impl Reciprocal {
     pub fn rem(&self, n: u64) -> u64 {
         n - self.div(n) * self.d
     }
-
-    /// `(n / d, n % d)` with one reciprocal evaluation.
-    #[inline]
-    pub fn div_rem(&self, n: u64) -> (u64, u64) {
-        let q = self.div(n);
-        (q, n - q * self.d)
-    }
 }
 
 #[cfg(test)]
@@ -123,7 +116,6 @@ mod tests {
         let r = Reciprocal::new(d);
         assert_eq!(r.div(n), n / d, "{n} / {d}");
         assert_eq!(r.rem(n), n % d, "{n} % {d}");
-        assert_eq!(r.div_rem(n), (n / d, n % d), "{n} divmod {d}");
     }
 
     #[test]

@@ -34,7 +34,7 @@ use crate::bucketed::FfsQueue;
 use crate::traits::{EnqueueError, QueueStats, RankedQueue};
 
 /// Maximum number of strict-priority queues (one occupancy word).
-pub const MAX_QUEUES: usize = 64;
+const MAX_QUEUES: usize = 64;
 
 /// Adaptive strict-priority PIFO approximation over `n ≤ 64` FIFO queues.
 #[derive(Debug, Clone)]
@@ -57,11 +57,6 @@ impl<T> SpPifoQueue<T> {
             bounds: vec![0; n],
             stats: QueueStats::default(),
         }
-    }
-
-    /// Number of strict-priority queues.
-    pub fn num_queues(&self) -> usize {
-        self.bounds.len()
     }
 
     /// The current per-queue admission bounds (highest priority first).

@@ -48,11 +48,6 @@ impl<T> TimingWheel<T> {
         }
     }
 
-    /// Number of slots.
-    pub fn num_slots(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Time units per slot.
     pub fn granularity(&self) -> u64 {
         self.granularity
@@ -66,11 +61,6 @@ impl<T> TimingWheel<T> {
     /// Whether the wheel holds no elements.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Elements whose timestamp was clamped (past, beyond-horizon).
-    pub fn clamp_counts(&self) -> (u64, u64) {
-        (self.clamped_low, self.clamped_high)
     }
 
     /// Absolute time at which the wheel's coverage currently starts.
@@ -152,7 +142,7 @@ mod tests {
     fn past_timestamps_release_immediately() {
         let mut w = TimingWheel::new(8, 10, 100);
         w.schedule(3, "late");
-        assert_eq!(w.clamp_counts().0, 1);
+        assert_eq!(w.clamped_low, 1);
         let mut out = Vec::new();
         w.advance(100, &mut out);
         assert_eq!(out.len(), 1);
@@ -163,7 +153,7 @@ mod tests {
         let mut w = TimingWheel::new(4, 10, 0);
         // horizon = slots 0..=3 → max time ~39
         w.schedule(1_000, "far");
-        assert_eq!(w.clamp_counts().1, 1);
+        assert_eq!(w.clamped_high, 1);
         let mut out = Vec::new();
         w.advance(29, &mut out);
         assert!(out.is_empty(), "not yet: clamped to slot 3");

@@ -14,7 +14,7 @@ pub enum EnqueueErrorKind {
     /// The rank is outside a fixed-range queue's `[base, base + span)` range.
     ///
     /// Only fixed-range queues ([`crate::FfsQueue`], [`crate::HierFfsQueue`],
-    /// [`crate::GradientQueue`], …) refuse ranks; moving-window queues clamp
+    /// [`crate::ApproxGradientQueue`], …) refuse ranks; moving-window queues clamp
     /// instead (and count the clamp in [`QueueStats`]).
     OutOfRange,
 }
@@ -246,8 +246,6 @@ pub enum QueueKind {
     HierFfs,
     /// Circular hierarchical FFS queue (the paper's cFFS).
     Cffs,
-    /// Exact gradient queue (hierarchical when > 64 buckets).
-    Gradient,
     /// Approximate gradient queue with curvature parameter α.
     ApproxGradient {
         /// The paper's α: weights grow as `2^(i/α)`.
@@ -303,7 +301,6 @@ impl QueueKind {
             QueueKind::Ffs => Box::new(crate::FfsQueue::with_buckets(n, g, base)),
             QueueKind::HierFfs => Box::new(crate::HierFfsQueue::with_base(n, g, base)),
             QueueKind::Cffs => Box::new(crate::CffsQueue::new(n, g, base)),
-            QueueKind::Gradient => Box::new(crate::HierGradientQueue::with_base(n, g, base)),
             QueueKind::ApproxGradient { alpha } => {
                 Box::new(crate::ApproxGradientQueue::with_base(n, g, base, alpha))
             }
@@ -325,7 +322,6 @@ impl QueueKind {
             QueueKind::Ffs => "FFS",
             QueueKind::HierFfs => "hFFS",
             QueueKind::Cffs => "cFFS",
-            QueueKind::Gradient => "Gradient",
             QueueKind::ApproxGradient { .. } => "Approx",
             QueueKind::CircularApprox { .. } => "cApprox",
             QueueKind::BucketHeap => "BH",
@@ -345,7 +341,6 @@ impl QueueKind {
             self,
             QueueKind::Ffs
                 | QueueKind::HierFfs
-                | QueueKind::Gradient
                 | QueueKind::BucketHeap
                 | QueueKind::BinaryHeap
                 | QueueKind::BTree
@@ -381,7 +376,6 @@ mod tests {
             QueueKind::Ffs,
             QueueKind::HierFfs,
             QueueKind::Cffs,
-            QueueKind::Gradient,
             QueueKind::ApproxGradient { alpha: 16 },
             QueueKind::CircularApprox { alpha: 16 },
             QueueKind::BucketHeap,

@@ -4,7 +4,7 @@
 //!
 //! Three tiers of guarantee are pinned here:
 //!
-//! - **Exact backends** (FFS family, gradient, bucketed heap, comparison
+//! - **Exact backends** (FFS family, bucketed heap, comparison
 //!   baselines) must score *zero* inversions and zero rank error at
 //!   granularity 1 — they are PIFOs.
 //! - **Approximate backends** (approx gradient, SP-PIFO, RIFO) must
@@ -90,7 +90,6 @@ proptest! {
             QueueKind::Ffs,
             QueueKind::HierFfs,
             QueueKind::Cffs,
-            QueueKind::Gradient,
             QueueKind::BucketHeap,
             QueueKind::BinaryHeap,
             QueueKind::BTree,
@@ -366,7 +365,6 @@ proptest! {
             QueueKind::Ffs,
             QueueKind::HierFfs,
             QueueKind::Cffs,
-            QueueKind::Gradient,
             QueueKind::BucketHeap,
         ] {
             // The FFS kind is one word: 64 buckets.

@@ -72,11 +72,10 @@ impl Rng {
     }
 }
 
-const KINDS: [QueueKind; 11] = [
+const KINDS: [QueueKind; 10] = [
     QueueKind::Ffs,
     QueueKind::HierFfs,
     QueueKind::Cffs,
-    QueueKind::Gradient,
     QueueKind::ApproxGradient { alpha: 16 },
     QueueKind::CircularApprox { alpha: 16 },
     QueueKind::BucketHeap,
@@ -224,13 +223,11 @@ fn digest_cffs_bounded(seed: u64) -> u64 {
 const SEED: u64 = 0x26_0e1f_fe1a_5eed;
 
 /// Recorded digests, one per `(kind, geometry)` in `KINDS × GEOMETRIES`
-/// order. `Gradient` and `BucketHeap` agree by construction: both are
-/// exact fixed-range queues without a max path.
-const KIND_DIGESTS: [[u64; 2]; 11] = [
+/// order.
+const KIND_DIGESTS: [[u64; 2]; 10] = [
     [0x316ea96ae768981c, 0x44186668f4612de1], // Ffs
     [0xea0d831c6c612337, 0xd18238f0255bb04d], // HierFfs
     [0x9707728b848dc967, 0x212f555ef35356a1], // Cffs
-    [0x4c4f4d455e2532d2, 0x5ad9c54c8d4341e4], // Gradient
     [0x11745aa189b21797, 0xb3c4d02b68a8bd46], // ApproxGradient { alpha: 16 }
     [0x3ec37c383829080e, 0x6538131d6ecb854a], // CircularApprox { alpha: 16 }
     [0x4c4f4d455e2532d2, 0x5ad9c54c8d4341e4], // BucketHeap
@@ -258,7 +255,7 @@ fn every_kind_keeps_its_order() {
             .collect();
         panic!(
             "queue order moved; new constants:\n\
-             const KIND_DIGESTS: [[u64; 2]; 11] = [\n{}\n];\n\
+             const KIND_DIGESTS: [[u64; 2]; 10] = [\n{}\n];\n\
              const CFFS_BOUNDED_DIGEST: u64 = {bounded:#018x};",
             rows.join("\n")
         );

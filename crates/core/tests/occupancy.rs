@@ -14,9 +14,7 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use eiffel_core::{
-    ApproxIndex, ApproxParams, GradientWord, HeapIndex, HierBitmap, HierGradient, Occupancy,
-};
+use eiffel_core::{ApproxIndex, ApproxParams, HeapIndex, HierBitmap, Occupancy};
 
 const SIZES: [usize; 6] = [1, 63, 64, 65, 700, 4_097];
 
@@ -103,20 +101,6 @@ proptest! {
     fn hier_bitmap_index_matches_oracle(s in script()) {
         for n in SIZES {
             churn(HierBitmap::new(n), n, &s, true, true, true);
-        }
-    }
-
-    #[test]
-    fn gradient_word_index_matches_oracle(s in script()) {
-        for n in SIZES.into_iter().filter(|&n| n <= 64) {
-            churn(GradientWord::new(), n, &s, false, true, true);
-        }
-    }
-
-    #[test]
-    fn hier_gradient_index_matches_oracle(s in script()) {
-        for n in SIZES {
-            churn(HierGradient::new(n), n, &s, false, true, true);
         }
     }
 

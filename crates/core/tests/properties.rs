@@ -1,6 +1,6 @@
 //! Property-based tests: every exact queue must agree with a reference
 //! model (`BTreeMap<rank, FIFO>`) over arbitrary operation sequences, and
-//! the structural invariants of the paper's theorems must hold for
+//! the structural invariants of the bitmaps and windows must hold for
 //! arbitrary inputs.
 
 use std::collections::{BTreeMap, VecDeque};
@@ -8,8 +8,8 @@ use std::collections::{BTreeMap, VecDeque};
 use proptest::prelude::*;
 
 use eiffel_core::{
-    ApproxGradientQueue, BucketHeapQueue, CffsQueue, FfsQueue, GradientQueue, GradientWord, HeapPq,
-    HierBitmap, HierFfsQueue, HierGradientQueue, QueueConfig, QueueKind, RankedQueue, TreePq,
+    ApproxGradientQueue, BucketHeapQueue, CffsQueue, FfsQueue, HeapPq, HierBitmap, HierFfsQueue,
+    QueueConfig, QueueKind, RankedQueue, TreePq,
 };
 
 /// Reference model with the same FIFO-within-rank tie policy.
@@ -101,16 +101,6 @@ proptest! {
     #[test]
     fn hffs_matches_model(script in ops(700, 600)) {
         check_exact_against_model(HierFfsQueue::new(700, 1), &script, 700);
-    }
-
-    #[test]
-    fn gradient_matches_model(script in ops(64, 400)) {
-        check_exact_against_model(GradientQueue::new(64, 1), &script, 64);
-    }
-
-    #[test]
-    fn hier_gradient_matches_model(script in ops(5000, 600)) {
-        check_exact_against_model(HierGradientQueue::new(5000, 1), &script, 5000);
     }
 
     #[test]
@@ -237,18 +227,6 @@ proptest! {
             }
             prop_assert!(batched.is_empty() && single.is_empty());
         }
-    }
-
-    /// Theorem 1 (Appendix A) for arbitrary occupancy masks.
-    #[test]
-    fn theorem1_holds_for_any_mask(mask in 1u64..) {
-        let mut w = GradientWord::new();
-        for i in 0..64 {
-            if mask & (1 << i) != 0 {
-                w.set(i);
-            }
-        }
-        prop_assert_eq!(w.max_index(), Some(63 - mask.leading_zeros()));
     }
 
     /// Hierarchical bitmap first/last queries agree with a naive scan for

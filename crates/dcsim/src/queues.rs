@@ -17,7 +17,7 @@ use crate::frame::Frame;
 /// Rank ceiling for pFabric ports: remaining sizes are clamped here (all
 /// "very large" remainders are equally last — the web-search tail spans to
 /// 20k packets but contention is decided among the small ranks).
-pub const RANK_CAP: u32 = 4_095;
+const RANK_CAP: u32 = 4_095;
 
 /// What happened on enqueue.
 #[derive(Debug, PartialEq, Eq)]

@@ -26,9 +26,9 @@ impl FctRecord {
 }
 
 /// Small-flow boundary (0, 100 kB].
-pub const SMALL_BYTES: u64 = 100 * 1_024;
+const SMALL_BYTES: u64 = 100 * 1_024;
 /// Large-flow boundary (10 MB, ∞).
-pub const LARGE_BYTES: u64 = 10 * 1_024 * 1_024;
+const LARGE_BYTES: u64 = 10 * 1_024 * 1_024;
 
 /// Aggregated normalized-FCT statistics.
 #[derive(Debug, Clone, Default)]

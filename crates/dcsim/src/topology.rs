@@ -46,11 +46,6 @@ impl Path {
         debug_assert!(i < self.hops());
         self.ports[i] as usize
     }
-
-    /// The traversed ports in order.
-    pub fn as_slice(&self) -> &[u16] {
-        &self.ports[..self.len as usize]
-    }
 }
 
 /// Fabric parameters.
@@ -97,7 +92,7 @@ impl Topology {
     }
 
     /// Leaf switch of a host.
-    pub fn leaf_of(&self, host: usize) -> usize {
+    fn leaf_of(&self, host: usize) -> usize {
         host / self.hosts_per_leaf
     }
 
@@ -108,22 +103,22 @@ impl Topology {
     }
 
     /// Port id: host `h`'s NIC egress (host → leaf).
-    pub fn host_uplink(&self, h: usize) -> usize {
+    fn host_uplink(&self, h: usize) -> usize {
         h
     }
 
     /// Port id: leaf-to-host downlink.
-    pub fn leaf_down(&self, h: usize) -> usize {
+    fn leaf_down(&self, h: usize) -> usize {
         self.hosts() + h
     }
 
     /// Port id: leaf `l` → spine `s` uplink.
-    pub fn leaf_up(&self, l: usize, s: usize) -> usize {
+    fn leaf_up(&self, l: usize, s: usize) -> usize {
         2 * self.hosts() + l * self.spines + s
     }
 
     /// Port id: spine `s` → leaf `l` downlink.
-    pub fn spine_down(&self, s: usize, l: usize) -> usize {
+    fn spine_down(&self, s: usize, l: usize) -> usize {
         2 * self.hosts() + self.leaves * self.spines + s * self.leaves + l
     }
 
@@ -222,7 +217,7 @@ mod tests {
         let r = t.route(0, 1, 42);
         assert_eq!(r.hops(), 2);
         assert_eq!(
-            r.as_slice(),
+            &r.ports[..r.len as usize],
             &[t.host_uplink(0) as u16, t.leaf_down(1) as u16]
         );
         // Cross leaf: four hops through the hashed spine.

@@ -12,7 +12,7 @@ use std::collections::BTreeSet;
 use crate::bits::SeqBits;
 
 /// DCTCP's EWMA gain for the marked fraction (the paper's g = 1/16).
-pub const DCTCP_G: f64 = 1.0 / 16.0;
+const DCTCP_G: f64 = 1.0 / 16.0;
 
 /// DCTCP sender state (go-back-N, per-packet cumulative ACKs).
 #[derive(Debug, Clone)]

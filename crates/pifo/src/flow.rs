@@ -214,11 +214,6 @@ impl FlowScheduler {
         self.packets == 0
     }
 
-    /// Stale (lazily invalidated) entries skipped so far.
-    pub fn stale_skipped(&self) -> u64 {
-        self.stale_skipped
-    }
-
     /// Entries the flow queue holds right now, live and stale.
     pub fn queue_entries(&self) -> usize {
         self.queue.len()
@@ -483,10 +478,7 @@ mod tests {
         s.enqueue(0, pkt(2, 0));
         s.enqueue(0, pkt(3, 1));
         assert_eq!(s.dequeue(0).unwrap().flow, 1);
-        assert!(
-            s.stale_skipped() >= 1,
-            "flow 0's re-ranks left stale entries"
-        );
+        assert!(s.stale_skipped >= 1, "flow 0's re-ranks left stale entries");
     }
 
     #[test]

@@ -99,7 +99,7 @@ fn err(line: usize, message: impl Into<String>) -> ParseError {
 }
 
 /// Parses a rate like `750kbps`, `10mbps`, `2gbps`, `1000bps`.
-pub fn parse_rate(s: &str, line: usize) -> Result<Rate, ParseError> {
+fn parse_rate(s: &str, line: usize) -> Result<Rate, ParseError> {
     let lower = s.to_ascii_lowercase();
     let (num, mult) = if let Some(n) = lower.strip_suffix("gbps") {
         (n, 1_000_000_000u64)
@@ -125,7 +125,7 @@ pub fn parse_rate(s: &str, line: usize) -> Result<Rate, ParseError> {
 }
 
 /// Parses a duration like `500ns`, `10us`, `3ms`, `2s` into nanoseconds.
-pub fn parse_duration(s: &str, line: usize) -> Result<u64, ParseError> {
+fn parse_duration(s: &str, line: usize) -> Result<u64, ParseError> {
     let lower = s.to_ascii_lowercase();
     let (num, mult) = if let Some(n) = lower.strip_suffix("ns") {
         (n, 1u64)

@@ -47,11 +47,6 @@ impl TokenStamper {
         self.next_eligible
     }
 
-    /// Updates the configured rate (operators may re-provision limits live).
-    pub fn set_rate(&mut self, rate: Rate) {
-        self.rate = rate;
-    }
-
     /// Stamps a packet of `bytes` presented at `now`: returns its release
     /// time and advances the stamper.
     ///

@@ -62,6 +62,13 @@ struct Ranked {
 /// Head key of an empty [`RankStore`] FIFO: after every real `(bucket, seq)`.
 const NO_HEAD: (u64, u64) = (u64::MAX, u64::MAX);
 
+/// Buckets of the shared shaper: with [`SHAPER_GRANULARITY`] a 65 ms
+/// half-window, the longest rate-limit horizon multi-Mbps limits need.
+const SHAPER_BUCKETS: usize = 65_536;
+
+/// Release-time granularity of the shared shaper: 1 µs.
+const SHAPER_GRANULARITY: Nanos = 1_000;
+
 /// The body of an inner node whose program is per-key monotone: one FIFO
 /// per child (the rank store) and the cached `(bucket, seq)` key of each
 /// FIFO's front (the flow scheduler). The minimum head is the node's
@@ -243,27 +250,13 @@ struct Draft {
 /// Builder for [`PifoTree`].
 pub struct TreeBuilder {
     nodes: Vec<Draft>,
-    shaper_buckets: usize,
-    shaper_granularity: Nanos,
 }
 
 impl TreeBuilder {
-    /// Starts a builder; the shaper geometry covers the longest rate-limit
-    /// horizon the policy needs (default: 64k buckets of 1 µs — a 65 ms
-    /// half-window, fine for multi-Mbps limits; override for slower ones).
+    /// Starts a builder. Every tree shares one shaper of 65 536 buckets of
+    /// 1 µs: a 65 ms half-window, fine for multi-Mbps limits.
     pub fn new() -> Self {
-        TreeBuilder {
-            nodes: Vec::new(),
-            shaper_buckets: 65_536,
-            shaper_granularity: 1_000,
-        }
-    }
-
-    /// Overrides the shared shaper's geometry.
-    pub fn shaper_geometry(mut self, buckets: usize, granularity: Nanos) -> Self {
-        self.shaper_buckets = buckets;
-        self.shaper_granularity = granularity;
-        self
+        TreeBuilder { nodes: Vec::new() }
     }
 
     fn push(&mut self, parent: Option<NodeId>, draft: Draft) -> NodeId {
@@ -384,7 +377,7 @@ impl TreeBuilder {
             flow_leaves,
             advancing,
             nodes,
-            shaper: Shaper::new(self.shaper_buckets, self.shaper_granularity, 0),
+            shaper: Shaper::new(SHAPER_BUCKETS, SHAPER_GRANULARITY, 0),
             ready: VecDeque::new(),
             packets: 0,
             due_scratch: Vec::new(),

@@ -73,7 +73,8 @@ impl FqQdisc {
     }
 
     /// Number of flows currently tracked (including idle, not yet GC'd).
-    pub fn tracked_flows(&self) -> usize {
+    #[cfg(test)]
+    fn tracked_flows(&self) -> usize {
         self.flows.len()
     }
 

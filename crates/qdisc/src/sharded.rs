@@ -94,7 +94,8 @@ impl TierCounters {
     }
 
     /// Total decisions recorded at one tier.
-    pub fn total_at(&self, tier: DegradeTier) -> u64 {
+    #[cfg(test)]
+    fn total_at(&self, tier: DegradeTier) -> u64 {
         let t = tier as usize;
         self.admitted[t] + self.marked[t] + self.dropped[t] + self.shed[t]
     }

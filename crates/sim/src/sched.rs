@@ -286,7 +286,8 @@ impl<E> BucketedEventQueue<E> {
     }
 
     /// Events currently parked at the overflow level (diagnostics).
-    pub fn overflow_len(&self) -> usize {
+    #[cfg(test)]
+    fn overflow_len(&self) -> usize {
         self.overflow.len()
     }
 

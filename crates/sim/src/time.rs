@@ -128,7 +128,8 @@ impl Rate {
     }
 
     /// Bytes fully serializable in `dur` nanoseconds.
-    pub fn bytes_in(self, dur: Nanos) -> u64 {
+    #[cfg(test)]
+    fn bytes_in(self, dur: Nanos) -> u64 {
         (self.0 as u128 * dur as u128 / (8 * SECOND as u128)) as u64
     }
 }

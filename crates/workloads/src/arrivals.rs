@@ -16,7 +16,7 @@ pub struct PoissonArrivals {
 
 impl PoissonArrivals {
     /// Creates a process with the given mean inter-arrival time.
-    pub fn with_mean_gap(mean_interarrival_ns: f64) -> Self {
+    fn with_mean_gap(mean_interarrival_ns: f64) -> Self {
         assert!(mean_interarrival_ns > 0.0);
         PoissonArrivals {
             mean_interarrival_ns,

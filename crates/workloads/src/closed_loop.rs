@@ -180,11 +180,6 @@ impl ClosedLoopSource {
         f64::from(self.alpha_fx) / f64::from(ALPHA_ONE)
     }
 
-    /// Whether the flow is still in its slow-start ramp.
-    pub fn in_slow_start(&self) -> bool {
-        self.slow_start
-    }
-
     /// Control windows rolled so far.
     pub fn windows(&self) -> u64 {
         self.windows
@@ -259,13 +254,13 @@ mod tests {
     fn slow_start_doubles_to_full_rate() {
         let p = p();
         let mut s = ClosedLoopSource::new(&p);
-        assert!(s.in_slow_start());
+        assert!(s.slow_start);
         assert_eq!(s.scale(), 128);
         run_windows(&mut s, &p, 1, false);
         assert_eq!(s.scale(), 256);
         run_windows(&mut s, &p, 2, false);
         assert_eq!(s.scale(), SCALE_ONE);
-        assert!(!s.in_slow_start(), "ramp ends at full rate");
+        assert!(!s.slow_start, "ramp ends at full rate");
         run_windows(&mut s, &p, 4, false);
         assert_eq!(s.scale(), SCALE_ONE, "saturates, no overshoot");
     }
@@ -299,7 +294,7 @@ mod tests {
         let needed = (SCALE_ONE - low).div_ceil(p.additive);
         run_windows(&mut s, &p, needed, false);
         assert_eq!(s.scale(), SCALE_ONE, "additive recovery converges");
-        assert!(!s.in_slow_start(), "no slow-start re-entry after marks");
+        assert!(!s.slow_start, "no slow-start re-entry after marks");
     }
 
     #[test]
@@ -331,7 +326,7 @@ mod tests {
         s.on_loss(&p);
         s.on_loss(&p);
         assert_eq!(s.scale(), p.min_scale, "loss halving floors at min");
-        assert!(!s.in_slow_start());
+        assert!(!s.slow_start);
     }
 
     #[test]

@@ -61,7 +61,7 @@ impl EmpiricalCdf {
     }
 
     /// Analytic mean of the piecewise-linear distribution, in packets.
-    pub fn mean_packets(&self) -> f64 {
+    fn mean_packets(&self) -> f64 {
         let mut mean = self.points[0].0 * self.points[0].1;
         for w in self.points.windows(2) {
             let ((s0, p0), (s1, p1)) = (w[0], w[1]);

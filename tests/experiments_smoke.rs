@@ -11,10 +11,35 @@ use eiffel_bench::microbench::{
 use eiffel_bench::runners;
 use eiffel_repro::dcsim::{SchedulerBackend, System, Topology};
 
-/// Figure 9/10 path: quick kernel-shaping run with the headline ordering.
+/// Fig 9/10's exact virtual counts at quick scale, per qdisc in legend
+/// order: `(name, transmitted, timer_fires, meter_calls)`. The virtual
+/// clock makes them repeat exactly; the sampled meter never moves them.
+const FIG9_QUICK_COUNTS: [(&str, u64, u64, u64); 3] = [
+    ("fq", 100_000, 100_000, 204_000),
+    ("carousel", 100_000, 249_999, 353_999),
+    ("eiffel", 100_000, 6_900, 110_900),
+];
+
+/// Figure 9/10 path: quick kernel-shaping run with the headline ordering
+/// and the exact counts.
 #[test]
 fn fig09_fig10_quick() {
     let reports = runners::kernel_shaping(&runners::KernelShapingScale::quick());
+    let got: Vec<(&str, u64, u64, u64)> = reports
+        .iter()
+        .map(|r| (r.name, r.transmitted, r.timer_fires, r.meter_calls))
+        .collect();
+    if got != FIG9_QUICK_COUNTS {
+        let rows: Vec<String> = got
+            .iter()
+            .map(|(n, t, f, m)| format!("    ({n:?}, {t}, {f}, {m}),"))
+            .collect();
+        panic!(
+            "Fig 9/10 virtual counts moved; new constants:\n\
+             const FIG9_QUICK_COUNTS: [(&str, u64, u64, u64); 3] = [\n{}\n];",
+            rows.join("\n")
+        );
+    }
     let (fq, carousel, eiffel) = (&reports[0], &reports[1], &reports[2]);
     assert!(eiffel.median_cores < fq.median_cores, "Eiffel must beat FQ");
     assert!(

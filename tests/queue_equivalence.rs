@@ -9,7 +9,6 @@ use eiffel_repro::sim::SplitMix64;
 const EXACT_KINDS: &[QueueKind] = &[
     QueueKind::HierFfs,
     QueueKind::Cffs,
-    QueueKind::Gradient,
     QueueKind::BucketHeap,
     QueueKind::BinaryHeap,
     QueueKind::BTree,

@@ -11,9 +11,9 @@ mod facade_reachability {
     };
     pub use eiffel_repro::core::{
         recommend, ApproxGradientQueue, ApproxParams, BucketHeapQueue, CffsQueue, Circular,
-        CircularApproxQueue, EnqueueError, EnqueueErrorKind, FfsQueue, GradientQueue, GradientWord,
-        HeapPq, HierBitmap, HierFfsQueue, HierGradientQueue, QueueConfig, QueueKind, QueueStats,
-        RankedQueue, Recommendation, TimingWheel, TreePq, UseCase,
+        CircularApproxQueue, EnqueueError, EnqueueErrorKind, FfsQueue, HeapPq, HierBitmap,
+        HierFfsQueue, QueueConfig, QueueKind, QueueStats, RankedQueue, Recommendation, TimingWheel,
+        TreePq, UseCase,
     };
     pub use eiffel_repro::dcsim::{
         run as dcsim_run, FctRecord, Frame, PfabricVariant, PortQueue, SimConfig, SimCounters,
